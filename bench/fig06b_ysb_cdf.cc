@@ -5,6 +5,7 @@
 // percentiles (the paper reports Default degrading ~3x from p90 to p99
 // and Klink cutting p99 by ~55%).
 
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -20,7 +21,7 @@ int main() {
   TableReporter table("Fig. 6b: YSB latency CDF (s) at 60 queries");
   std::vector<std::string> header = {"policy"};
   for (double p : percentiles) {
-    header.push_back("p" + TableReporter::Num(p, 0));
+    header.push_back(std::string("p").append(TableReporter::Num(p, 0)));
   }
   table.SetHeader(header);
 

@@ -3,6 +3,7 @@
 // percentile (the paper reports Default's LRB tail growing ~2x from p90
 // to p99) with Klink achieving ~50-60% lower tail latency.
 
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -21,7 +22,7 @@ int main() {
                         ": latency CDF (s) at 60 queries");
     std::vector<std::string> header = {"policy"};
     for (double p : percentiles) {
-      header.push_back("p" + TableReporter::Num(p, 0));
+      header.push_back(std::string("p").append(TableReporter::Num(p, 0)));
     }
     table.SetHeader(header);
 

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "src/common/check.h"
 #include "src/window/swm_tracker.h"
@@ -98,6 +100,20 @@ void InvariantAuditor::CheckCycleStats(const Executor& executor,
   // the sums are bit-identical, not just close.
   KLINK_CHECK_EQ(stats.busy_micros, busy);
   KLINK_CHECK_EQ(stats.processed_events, processed);
+}
+
+void InvariantAuditor::CheckSnapshotEntry(const Query& query,
+                                          const QueryInfo& info) const {
+  QueryInfo fresh;
+  CollectQueryInfo(query, /*now=*/0, &fresh);
+  const std::string field = FirstQueryInfoMismatch(info, fresh);
+  if (!field.empty()) {
+    std::fprintf(stderr,
+                 "KLINK_AUDIT: ingest-refreshed snapshot entry of query %d "
+                 "differs from a full collect at field %s\n",
+                 query.id(), field.c_str());
+  }
+  KLINK_CHECK(field.empty());
 }
 
 void InvariantAuditor::CheckProgressMonotonicity(

@@ -7,6 +7,7 @@
 #include "src/common/types.h"
 #include "src/query/query.h"
 #include "src/runtime/executor.h"
+#include "src/runtime/snapshot.h"
 #include "src/sched/selection.h"
 
 namespace klink {
@@ -44,6 +45,8 @@ bool AuditEnabledFromEnv();
 ///    engine-derived quantum share.
 ///  - Executor cycle stats: the merged CycleStats equal the slot-order sum
 ///    of the per-context counters, and no slot overran its budget.
+///  - Ingest-refreshed snapshot entries (RefreshIngestedQueryInfo) equal a
+///    fresh CollectQueryInfo field by field.
 ///
 /// Cost: the recomputation walks every queued event, so an audited cycle is
 /// O(queued events) on top of normal work — debug/CI tooling, not a
@@ -70,6 +73,11 @@ class InvariantAuditor {
   void CheckCycleStats(const Executor& executor,
                        const std::vector<ExecutorTask>& tasks,
                        const CycleStats& stats) const;
+
+  /// Compares an entry refreshed by RefreshIngestedQueryInfo against a
+  /// fresh CollectQueryInfo of `query`; aborts naming the first field that
+  /// differs.
+  void CheckSnapshotEntry(const Query& query, const QueryInfo& info) const;
 
   /// Asserts watermark monotonicity and SWM epoch ordering for every
   /// operator of every active query, against the progress recorded on the

@@ -49,7 +49,9 @@ QueryId Engine::AddQuery(std::unique_ptr<Query> query,
   const QueryId id =
       fabric_.Attach(std::move(query), std::move(feed), deploy_time);
   const Query* q = fabric_.Find(id);
-  accounted_mem_[id] = q->MemoryBytes();
+  const size_t slot = static_cast<size_t>(QuerySlot(id));
+  if (slot >= accounted_mem_.size()) accounted_mem_.resize(slot + 1);
+  accounted_mem_[slot] = AccountedMemory{id, q->MemoryBytes()};
   memory_usage_ += q->MemoryBytes();
   return id;
 }
@@ -72,14 +74,20 @@ void Engine::OnQueryRetired(QueryId id) {
   // A retired tenant's state leaves the checkpoint stream: drop it from
   // in-flight epochs and stop injecting barriers into it.
   if (coordinator_ != nullptr) coordinator_->DeregisterQuery(id);
-  const auto it = accounted_mem_.find(id);
-  if (it == accounted_mem_.end()) return;
-  memory_usage_ -= it->second;
-  accounted_mem_.erase(it);
+  const size_t slot = static_cast<size_t>(QuerySlot(id));
+  if (slot >= accounted_mem_.size() || accounted_mem_[slot].id != id) return;
+  memory_usage_ -= accounted_mem_[slot].bytes;
+  accounted_mem_[slot] = AccountedMemory{};
+}
+
+int64_t& Engine::AccountedBytes(QueryId id) {
+  AccountedMemory& entry = accounted_mem_[static_cast<size_t>(QuerySlot(id))];
+  KLINK_DCHECK(entry.id == id);
+  return entry.bytes;
 }
 
 void Engine::SyncQueryMemory(const Query& q) {
-  int64_t& accounted = accounted_mem_[q.id()];
+  int64_t& accounted = AccountedBytes(q.id());
   memory_usage_ += q.MemoryBytes() - accounted;
   accounted = q.MemoryBytes();
 }
@@ -127,7 +135,8 @@ void Engine::RunCycle() {
   }
 
   // (2) Refresh the runtime snapshot I from the fabric's change journal —
-  // only queries touched since the last cycle are re-collected, and their
+  // only queries touched since the last cycle are refreshed (ingest-only
+  // ones from their source queues, the rest re-collected), and their
   // memory deltas (including injected barrier bytes) fold into the
   // incremental total, which then backs the cycle's memory update.
   BuildSnapshot(&snapshot_scratch_);
@@ -254,8 +263,9 @@ int64_t Engine::Ingest() {
       if (e.is_data()) ++data;
     }
     memory_usage_ += added_total;
-    accounted_mem_[lq.id] += added_total;
-    fabric_.MarkDirty(lq.id);
+    AccountedBytes(lq.id) += added_total;
+    // Only source queues grew: the snapshot refreshes this entry from them.
+    fabric_.MarkIngested(lq.id);
     metrics_.AddIngested(data);
   }
   return memory_usage_;
@@ -263,7 +273,7 @@ int64_t Engine::Ingest() {
 
 void Engine::BuildSnapshot(RuntimeSnapshot* snap) {
   snap->incremental = true;
-  fabric_.TakeJournal(&snap->touched, &snap->detached);
+  fabric_.TakeJournal(&snap->touched, &snap->detached, &ingest_only_scratch_);
   // Drop detached entries (swap-erase; the index keeps positions dense).
   for (const QueryId id : snap->detached) {
     const auto it = snap->index.find(id);
@@ -277,16 +287,24 @@ void Engine::BuildSnapshot(RuntimeSnapshot* snap) {
     snap->queries.pop_back();
     snap->index.erase(it);
   }
-  // Re-collect touched queries in place (or append newly attached ones),
-  // folding each one's memory delta into the incremental total.
-  for (const QueryId id : snap->touched) {
+  // Refresh touched queries in place (or append newly attached ones),
+  // folding each one's memory delta into the incremental total. Queries
+  // that only ingested since their last refresh re-read their source
+  // queues; everything else is re-collected in full.
+  for (size_t t = 0; t < snap->touched.size(); ++t) {
+    const QueryId id = snap->touched[t];
     const Query* q = fabric_.Find(id);  // live: TakeJournal filters retirees
     const auto [it, inserted] =
         snap->index.try_emplace(id, static_cast<int32_t>(snap->queries.size()));
     if (inserted) snap->queries.emplace_back();
     QueryInfo& info = snap->queries[static_cast<size_t>(it->second)];
-    CollectQueryInfo(*q, now_, &info);
-    int64_t& accounted = accounted_mem_[id];
+    if (ingest_only_scratch_[t] != 0 && !inserted) {
+      RefreshIngestedQueryInfo(*q, &info);
+      if (audit_ != nullptr) audit_->CheckSnapshotEntry(*q, info);
+    } else {
+      CollectQueryInfo(*q, now_, &info);
+    }
+    int64_t& accounted = AccountedBytes(id);
     memory_usage_ += info.memory_bytes - accounted;
     accounted = info.memory_bytes;
   }

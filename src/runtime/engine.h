@@ -2,7 +2,6 @@
 #define KLINK_RUNTIME_ENGINE_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/histogram.h"
@@ -171,9 +170,10 @@ class Engine {
   /// incremental memory total, and returns it.
   int64_t Ingest();
   /// Consumes the fabric's change journal into the persistent snapshot:
-  /// drops detached entries, re-collects touched ones, and folds each
-  /// touched query's memory delta into memory_usage_. O(touched), not
-  /// O(queries).
+  /// drops detached entries, re-collects touched ones whose operator state
+  /// changed, refreshes ingest-only ones from their source queues, and
+  /// folds each touched query's memory delta into memory_usage_.
+  /// O(touched), not O(queries).
   void BuildSnapshot(RuntimeSnapshot* snap);
   /// Folds `q`'s memory delta since its last accounting into memory_usage_.
   void SyncQueryMemory(const Query& q);
@@ -199,12 +199,22 @@ class Engine {
   /// what a full sweep would return at every cycle's memory update (the
   /// KLINK_AUDIT memory check proves it against recomputation).
   int64_t memory_usage_ = 0;
-  /// Per-live-query memory last folded into memory_usage_.
-  std::unordered_map<QueryId, int64_t> accounted_mem_;
+  /// Memory of one live query last folded into memory_usage_.
+  struct AccountedMemory {
+    QueryId id = -1;  // -1 while the slot holds no live query
+    int64_t bytes = 0;
+  };
+  /// Indexed by QuerySlot(id), parallel to the fabric's slot table: O(1)
+  /// per fed tenant per cycle, no hashing.
+  std::vector<AccountedMemory> accounted_mem_;
+  /// Accounted bytes of live query `id` (which must be accounted).
+  int64_t& AccountedBytes(QueryId id);
   std::vector<EventFeed::FeedElement> feed_scratch_;
   Selection selection_scratch_;
   std::vector<ExecutorTask> tasks_scratch_;
   RuntimeSnapshot snapshot_scratch_;
+  /// TakeJournal's per-touched ingest-only flags (see BuildSnapshot).
+  std::vector<uint8_t> ingest_only_scratch_;
   std::vector<QueryId> retired_scratch_;
   /// Non-owning; null when checkpointing is off (see SetCheckpointCoordinator).
   CheckpointCoordinator* coordinator_ = nullptr;

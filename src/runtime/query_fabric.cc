@@ -52,7 +52,7 @@ QueryId QueryFabric::Attach(std::unique_ptr<Query> query,
   s.feed = std::move(feed);
   s.deploy_time = deploy_time;
   s.state = QueryState::kActive;
-  s.dirty = true;
+  s.mark = Mark::kFull;
   journal_touched_.push_back(id);
   ++live_count_;
   ++attached_total_;
@@ -105,7 +105,7 @@ void QueryFabric::Retire(int32_t slot_index) {
   retired_.emplace(id, std::move(s.query));
   s.feed.reset();
   s.state = QueryState::kUnknown;
-  s.dirty = false;
+  s.mark = Mark::kNone;
   // The next tenant of this slot gets a fresh generation, so the retired
   // id can never alias it.
   ++s.generation;
@@ -195,45 +195,54 @@ const EndpointBinding* QueryFabric::ResolveEndpoint(
   return &it->second;
 }
 
+void QueryFabric::MarkSlot(Slot& s, Mark mark) {
+  if (s.mark == Mark::kNone) journal_touched_.push_back(s.query->id());
+  if (mark > s.mark) s.mark = mark;
+}
+
 void QueryFabric::MarkDirty(QueryId id) {
   Slot* s = LiveSlot(id);
-  if (s == nullptr) return;
-  if (s->dirty) return;
-  s->dirty = true;
-  journal_touched_.push_back(id);
+  if (s != nullptr) MarkSlot(*s, Mark::kFull);
+}
+
+void QueryFabric::MarkIngested(QueryId id) {
+  Slot* s = LiveSlot(id);
+  if (s != nullptr) MarkSlot(*s, Mark::kIngested);
 }
 
 void QueryFabric::MarkAllDirty() {
   for (Slot& s : slots_) {
-    if (s.query == nullptr || s.dirty) continue;
-    s.dirty = true;
-    journal_touched_.push_back(s.query->id());
+    if (s.query != nullptr) MarkSlot(s, Mark::kFull);
   }
 }
 
 void QueryFabric::TakeJournal(std::vector<QueryId>* touched,
-                              std::vector<QueryId>* detached) {
+                              std::vector<QueryId>* detached,
+                              std::vector<uint8_t>* ingest_only) {
   touched->clear();
   detached->clear();
+  if (ingest_only != nullptr) ingest_only->clear();
   // A query may be marked, retired, then its slot reattached within one
   // cycle; sort so consumers see deterministic (slot, generation) order and
   // drop touched entries for queries that retired in the same window.
   std::sort(journal_touched_.begin(), journal_touched_.end());
   std::sort(journal_detached_.begin(), journal_detached_.end());
   for (QueryId id : journal_touched_) {
-    if (IsLive(id)) touched->push_back(id);
+    Slot* s = LiveSlot(id);
+    if (s == nullptr || s->state == QueryState::kDetached) continue;
+    touched->push_back(id);
+    if (ingest_only != nullptr) {
+      ingest_only->push_back(s->mark == Mark::kIngested ? 1 : 0);
+    }
+    s->mark = Mark::kNone;
   }
   detached->swap(journal_detached_);
   journal_touched_.clear();
-  for (QueryId id : *touched) {
-    Slot* s = LiveSlot(id);
-    if (s != nullptr) s->dirty = false;
-  }
 }
 
 void QueryFabric::AuditConsistency() const {
   // (a) live_count_ matches a full scan; slot ids decode back to their
-  // index; dirty marks imply a pending journal entry.
+  // index; journal marks imply a pending journal entry.
   int live = 0;
   for (size_t i = 0; i < slots_.size(); ++i) {
     const Slot& s = slots_[i];
@@ -243,7 +252,7 @@ void QueryFabric::AuditConsistency() const {
     KLINK_CHECK_EQ(QueryGeneration(s.query->id()), s.generation);
     KLINK_CHECK(s.state == QueryState::kActive ||
                 s.state == QueryState::kDraining);
-    if (s.dirty) {
+    if (s.mark != Mark::kNone) {
       KLINK_CHECK(std::find(journal_touched_.begin(), journal_touched_.end(),
                             s.query->id()) != journal_touched_.end());
     }

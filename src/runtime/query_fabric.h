@@ -53,10 +53,12 @@ struct EndpointBinding {
 ///    with it.
 ///
 /// The fabric is also the engine's change journal: every mutation that can
-/// alter a query's runtime snapshot marks the query dirty, and the engine
-/// consumes the dirty set once per cycle to refresh only the changed
+/// alter a query's runtime snapshot marks the query, and the engine
+/// consumes the marked set once per cycle to refresh only the changed
 /// QueryInfo entries — the seam that makes snapshot maintenance and
-/// scheduling O(changed) instead of O(queries) (see sched/policy.h).
+/// scheduling O(changed) instead of O(queries) (see sched/policy.h). A mark
+/// is either full (operator state may have changed: re-collect everything)
+/// or ingest-only (only source queues grew: re-read their lengths).
 class QueryFabric {
  public:
   enum class DetachMode {
@@ -132,16 +134,25 @@ class QueryFabric {
   int num_endpoints() const { return static_cast<int>(endpoints_.size()); }
 
   /// ---- change journal -------------------------------------------------
-  /// Marks one query's runtime state changed (ingest, execution, barrier,
-  /// state restore). Live ids only; others are ignored.
+  /// Marks one query's operator state changed (execution, drain detach,
+  /// re-shard, state restore): its QueryInfo is fully re-collected. Live
+  /// ids only; others are ignored. Upgrades an ingest-only mark.
   void MarkDirty(QueryId id);
-  /// Marks every live query dirty (barrier injection, restore, MM mode).
+  /// Marks every live query dirty (barrier injection).
   void MarkAllDirty();
+  /// Weaker mark for ingest: only source-operator input queues were
+  /// appended to, so every QueryInfo field that depends on operator state
+  /// is unchanged. No-op when the query already carries a mark in this
+  /// window; a later MarkDirty/MarkAllDirty upgrades it to a full mark.
+  void MarkIngested(QueryId id);
   /// Drains the journal accumulated since the previous call: ids whose
-  /// QueryInfo must be re-collected, and ids retired since then. Ids are
-  /// in deterministic (slot, generation) order.
+  /// QueryInfo must be refreshed, and ids retired since then. Ids are in
+  /// deterministic (slot, generation) order. When `ingest_only` is
+  /// non-null it receives one flag per `touched` entry: 1 when the query
+  /// carried only ingest marks (MarkIngested) in this window.
   void TakeJournal(std::vector<QueryId>* touched,
-                   std::vector<QueryId>* detached);
+                   std::vector<QueryId>* detached,
+                   std::vector<uint8_t>* ingest_only = nullptr);
 
   /// KLINK_AUDIT=1 invariant check (also callable from tests): endpoint
   /// targets are live, dirty marks refer to live queries, the live count
@@ -154,18 +165,23 @@ class QueryFabric {
   /// AuditConsistency detects them. Test-only.
   friend class QueryFabricTestPeer;
 
+  /// Journal mark of one slot in the current window; ordered by strength.
+  enum class Mark : uint8_t { kNone, kIngested, kFull };
+
   struct Slot {
     std::unique_ptr<Query> query;
     std::unique_ptr<EventFeed> feed;
     TimeMicros deploy_time = 0;
     int32_t generation = 0;  // bumped when the slot is freed
     QueryState state = QueryState::kUnknown;
-    bool dirty = false;
+    Mark mark = Mark::kNone;
   };
 
   Slot* LiveSlot(QueryId id);
   const Slot* LiveSlot(QueryId id) const;
   void Retire(int32_t slot_index);
+  /// Raises `s`'s mark to at least `mark`, journaling it on first mark.
+  void MarkSlot(Slot& s, Mark mark);
   void InvalidateViews() { views_valid_ = false; }
   void RebuildViews() const;
 

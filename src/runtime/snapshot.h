@@ -2,6 +2,7 @@
 #define KLINK_RUNTIME_SNAPSHOT_H_
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -109,6 +110,15 @@ struct QueryInfo {
   std::vector<double> op_cost;
   std::vector<uint8_t> op_windowed;
   std::vector<uint8_t> op_partial;
+  /// Ingestion time of the oldest element queued at each operator's
+  /// inputs, kNoTime when they are empty.
+  std::vector<TimeMicros> op_oldest;
+  /// Expected remaining end-to-end cost of one element queued at each
+  /// operator: cost_i + selectivity_i * path_cost[downstream(i)].
+  std::vector<double> op_path_cost;
+  /// Operator indices of Query::sources(), in that order: the only queues
+  /// ingest touches.
+  std::vector<int> source_ops;
 };
 
 /// The tuple I for all deployed queries at a scheduling cycle boundary.
@@ -126,7 +136,9 @@ struct RuntimeSnapshot {
   ///    to the previous cycle's snapshot (CollectQueryInfo does not depend
   ///    on `now`, so an untouched query's info cannot change);
   ///  - `touched` holds the ids refreshed this cycle, including newly
-  ///    attached queries, in ascending id order;
+  ///    attached queries and queries that only ingested (their entries are
+  ///    refreshed by RefreshIngestedQueryInfo, bit-identical to a full
+  ///    collect), in ascending id order;
   ///  - `detached` holds ids removed since the previous cycle, ascending.
   /// Policies exploit this to keep per-cycle work O(touched) instead of
   /// O(queries) (klink/klink_policy.cc, sched/fcfs_policy.cc). Hand-built
@@ -147,6 +159,22 @@ struct RuntimeSnapshot {
 /// exclusively through const accessors — data acquisition must never
 /// perturb the state it observes.
 void CollectQueryInfo(const Query& query, TimeMicros now, QueryInfo* info);
+
+/// Refreshes an entry last filled by CollectQueryInfo (or by this function)
+/// after the query's only mutation was ingest, which appends to source
+/// input queues and changes no operator state. Re-reads the source queue
+/// lengths (and a source queue's front only if it was empty, since appends
+/// land at the back), takes memory_bytes from Query::MemoryBytes(), and
+/// re-runs the queue aggregation CollectQueryInfo uses — so the result is
+/// bit-identical to a full collect at O(sources + operators) without
+/// virtual calls or SWM tracker walks.
+void RefreshIngestedQueryInfo(const Query& query, QueryInfo* info);
+
+/// Names the first field (in declaration order, with the element index for
+/// vectors, e.g. "lanes[0].oldest_ingest") where `a` and `b` differ, or
+/// returns an empty string when they are equal. Doubles compare by bit
+/// pattern. Used by the KLINK_AUDIT snapshot cross-check and tests.
+std::string FirstQueryInfoMismatch(const QueryInfo& a, const QueryInfo& b);
 
 }  // namespace klink
 

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 #include "src/query/query.h"
 #include "src/runtime/checkpoint.h"
 #include "src/runtime/engine.h"
+#include "src/runtime/snapshot.h"
+#include "src/sched/policy.h"
 #include "src/sched/rr_policy.h"
 #include "src/workloads/workload.h"
 
@@ -132,6 +135,43 @@ TEST(AuditDeathTest, DetectsCorruptedQueryMemoryTotal) {
         engine.RunFor(SecondsToMicros(1));
       },
       "KLINK_CHECK failed");
+}
+
+/// Schedules nothing: every fed query's snapshot entry is refreshed from
+/// its source queues each cycle, never re-collected after attach.
+class IdlePolicy final : public SchedulingPolicy {
+ public:
+  std::string name() const override { return "idle"; }
+  void SelectQueries(const RuntimeSnapshot&, int, Selection*) override {}
+};
+
+TEST(AuditDeathTest, DetectsIngestRefreshMissingAnUnjournaledMutation) {
+  EXPECT_DEATH(
+      {
+        setenv("KLINK_AUDIT", "1", 1);
+        EngineConfig config;
+        Engine engine(config, std::make_unique<IdlePolicy>());
+        engine.AddQuery(CountQuery(0), SteadyFeed(500, 1));
+        engine.RunFor(SecondsToMicros(1));
+        // A mutation outside the source queues that nothing journals: the
+        // next cycle's ingest-only refresh cannot see it, and the
+        // cross-check against a full collect names the stale field.
+        engine.query(0).op(1).input(0).Push(MakeDataEvent(0, 0, 1, 1.0));
+        engine.RunFor(SecondsToMicros(1));
+      },
+      "differs from a full collect at field queued_events");
+}
+
+TEST(AuditDeathTest, SnapshotEntryCheckNamesCorruptedLaneField) {
+  auto q = CountQuery(0);
+  q->op(0).input(0).Push(MakeDataEvent(0, 70, 1, 1.0));
+  QueryInfo info;
+  CollectQueryInfo(*q, 0, &info);
+  InvariantAuditor auditor;
+  auditor.CheckSnapshotEntry(*q, info);  // consistent: passes
+  info.lanes[0].oldest_ingest = 71;
+  EXPECT_DEATH(auditor.CheckSnapshotEntry(*q, info),
+               "at field lanes\\[0\\]\\.oldest_ingest");
 }
 
 TEST(AuditDeathTest, CorruptionIsInvisibleWithoutAudit) {

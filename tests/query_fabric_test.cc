@@ -27,7 +27,7 @@ class QueryFabricTestPeer {
     f.endpoints_["dangling"] = EndpointBinding{/*query=*/(1 << 20) | 7, 0};
   }
   static void PlantUnjournaledDirtyBit(QueryFabric& f) {
-    f.slots_.at(0).dirty = true;
+    f.slots_.at(0).mark = QueryFabric::Mark::kFull;
   }
 };
 
@@ -204,6 +204,49 @@ TEST(QueryFabricTest, MarkAllDirtyTouchesEveryLiveQuery) {
   fabric.MarkAllDirty();
   fabric.TakeJournal(&touched, &detached);
   EXPECT_EQ(touched, (std::vector<QueryId>{a, b}));
+}
+
+TEST(QueryFabricTest, IngestMarksReportedAndUpgradedByFullMarks) {
+  QueryFabric fabric;
+  const QueryId a = fabric.Attach(CountQuery(0), nullptr, 0);
+  const QueryId b = fabric.Attach(CountQuery(1), nullptr, 0);
+  const QueryId c = fabric.Attach(CountQuery(2), nullptr, 0);
+  std::vector<QueryId> touched;
+  std::vector<QueryId> detached;
+  std::vector<uint8_t> ingest_only;
+  // An ingest mark never weakens the full mark attach placed.
+  fabric.MarkIngested(a);
+  fabric.TakeJournal(&touched, &detached, &ingest_only);
+  EXPECT_EQ(touched, (std::vector<QueryId>{a, b, c}));
+  EXPECT_EQ(ingest_only, (std::vector<uint8_t>{0, 0, 0}));
+
+  // a: ingest only. b: ingest, then executed (upgraded). c: ingest, then
+  // a barrier sweep (upgraded by MarkAllDirty).
+  fabric.MarkIngested(a);
+  fabric.MarkIngested(b);
+  fabric.MarkIngested(a);  // repeated marks journal the id once
+  fabric.MarkDirty(b);
+  fabric.MarkIngested(c);
+  fabric.TakeJournal(&touched, &detached, &ingest_only);
+  EXPECT_EQ(touched, (std::vector<QueryId>{a, b, c}));
+  EXPECT_EQ(ingest_only, (std::vector<uint8_t>{1, 0, 1}));
+
+  fabric.MarkIngested(c);
+  fabric.MarkAllDirty();
+  fabric.MarkIngested(b);  // a weaker mark after a full one stays full
+  fabric.TakeJournal(&touched, &detached, &ingest_only);
+  EXPECT_EQ(touched, (std::vector<QueryId>{a, b, c}));
+  EXPECT_EQ(ingest_only, (std::vector<uint8_t>{0, 0, 0}));
+
+  // Marks on dead ids are ignored; the flags stay parallel to `touched`.
+  fabric.MarkIngested(b);
+  fabric.Detach(a, QueryFabric::DetachMode::kImmediate);
+  fabric.MarkIngested(a);
+  fabric.TakeJournal(&touched, &detached, &ingest_only);
+  EXPECT_EQ(touched, (std::vector<QueryId>{b}));
+  EXPECT_EQ(ingest_only, (std::vector<uint8_t>{1}));
+  EXPECT_EQ(detached, (std::vector<QueryId>{a}));
+  fabric.AuditConsistency();
 }
 
 using QueryFabricDeathTest = ::testing::Test;
