@@ -14,9 +14,9 @@ constexpr int kExactLimit = 64;
 constexpr int kMaxPow = 63;
 }  // namespace
 
-Histogram::Histogram()
-    : buckets_(kExactLimit + (kMaxPow - 6) * kSubBuckets, 0),
-      min_(std::numeric_limits<int64_t>::max()) {}
+Histogram::Histogram() : min_(std::numeric_limits<int64_t>::max()) {
+  static_assert(kNumBuckets == kExactLimit + (kMaxPow - 6) * kSubBuckets);
+}
 
 int Histogram::BucketFor(int64_t value) {
   if (value < kExactLimit) return static_cast<int>(value);
@@ -40,9 +40,10 @@ int64_t Histogram::BucketMidpoint(int index) {
 
 void Histogram::Add(int64_t value) {
   if (value < 0) value = 0;
-  const int b = BucketFor(value);
-  KLINK_DCHECK(b >= 0 && b < static_cast<int>(buckets_.size()));
-  ++buckets_[static_cast<size_t>(b)];
+  const size_t b = static_cast<size_t>(BucketFor(value));
+  KLINK_DCHECK(b < static_cast<size_t>(kNumBuckets));
+  if (b >= buckets_.size()) buckets_.resize(b + 1, 0);
+  ++buckets_[b];
   ++count_;
   min_ = std::min(min_, value);
   max_ = std::max(max_, value);
@@ -50,8 +51,12 @@ void Histogram::Add(int64_t value) {
 }
 
 void Histogram::Merge(const Histogram& other) {
-  KLINK_CHECK_EQ(buckets_.size(), other.buckets_.size());
-  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  if (other.buckets_.size() > buckets_.size()) {
+    buckets_.resize(other.buckets_.size(), 0);
+  }
+  for (size_t i = 0; i < other.buckets_.size(); ++i) {
+    buckets_[i] += other.buckets_[i];
+  }
   count_ += other.count_;
   if (other.count_ > 0) {
     min_ = std::min(min_, other.min_);
@@ -82,6 +87,37 @@ int64_t Histogram::Quantile(double q) const {
     }
   }
   return max_;
+}
+
+void Histogram::Serialize(StateWriter& w) const {
+  w.PutU64(static_cast<uint64_t>(kNumBuckets));
+  for (const int64_t b : buckets_) w.PutI64(b);
+  for (size_t i = buckets_.size(); i < static_cast<size_t>(kNumBuckets); ++i) {
+    w.PutI64(0);
+  }
+  w.PutI64(count_);
+  w.PutI64(min_);
+  w.PutI64(max_);
+  w.PutDouble(sum_);
+}
+
+void Histogram::Restore(StateReader& r) {
+  const uint64_t n = r.GetU64();
+  if (!r.ok() || n != static_cast<uint64_t>(kNumBuckets)) {
+    r.Fail();
+    return;
+  }
+  buckets_.assign(static_cast<size_t>(kNumBuckets), 0);
+  for (int64_t& b : buckets_) b = r.GetI64();
+  // Keep only the prefix up to the last non-empty bucket.
+  size_t used = buckets_.size();
+  while (used > 0 && buckets_[used - 1] == 0) --used;
+  buckets_.resize(used);
+  buckets_.shrink_to_fit();
+  count_ = r.GetI64();
+  min_ = r.GetI64();
+  max_ = r.GetI64();
+  sum_ = r.GetDouble();
 }
 
 }  // namespace klink

@@ -11,8 +11,17 @@ namespace klink {
 /// Log-bucketed histogram of non-negative values (HdrHistogram-style),
 /// used for latency distributions and CDF reporting. Relative quantile
 /// error is bounded by the per-decade sub-bucket resolution (~1.6%).
+///
+/// The bucket array grows on demand up to the highest bucket touched, so
+/// an unused histogram costs no heap and a latency histogram only holds
+/// the buckets below its largest value. Serialized state always carries
+/// the full `kNumBuckets` array.
 class Histogram {
  public:
+  /// Bucket count of the full value range [0, INT64_MAX]: 64 exact values,
+  /// then 64 sub-buckets for each power of two from 2^6 to 2^62.
+  static constexpr int kNumBuckets = 64 + (63 - 6) * 64;
+
   Histogram();
 
   /// Records one value; negatives are clamped to 0.
@@ -35,32 +44,24 @@ class Histogram {
   /// Convenience: Quantile(p / 100).
   int64_t Percentile(double p) const { return Quantile(p / 100.0); }
 
-  /// Checkpoint support: full bucket array plus summary accumulators.
-  void Serialize(StateWriter& w) const {
-    w.PutU64(static_cast<uint64_t>(buckets_.size()));
-    for (const int64_t b : buckets_) w.PutI64(b);
-    w.PutI64(count_);
-    w.PutI64(min_);
-    w.PutI64(max_);
-    w.PutDouble(sum_);
-  }
+  /// Checkpoint support: full bucket array (zeros past the grown prefix)
+  /// plus summary accumulators.
+  void Serialize(StateWriter& w) const;
 
-  void Restore(StateReader& r) {
-    const uint64_t n = r.GetU64();
-    if (!r.ok() || n != buckets_.size()) return;
-    for (int64_t& b : buckets_) b = r.GetI64();
-    count_ = r.GetI64();
-    min_ = r.GetI64();
-    max_ = r.GetI64();
-    sum_ = r.GetDouble();
-  }
+  /// Restores state written by Serialize. A blob whose bucket count is not
+  /// kNumBuckets fails the reader: the rest of it cannot be parsed.
+  void Restore(StateReader& r);
 
  private:
+  friend class HistogramTestPeer;
+
   static constexpr int kSubBuckets = 64;  // per power-of-two bucket
 
   static int BucketFor(int64_t value);
   static int64_t BucketMidpoint(int index);
 
+  /// Counts of buckets [0, buckets_.size()); every bucket past the end is
+  /// zero.
   std::vector<int64_t> buckets_;
   int64_t count_ = 0;
   int64_t min_ = 0;

@@ -124,8 +124,13 @@ class StateReader {
     return s;
   }
 
-  /// True while every read so far stayed in bounds.
+  /// True while every read so far stayed in bounds and no caller rejected
+  /// the blob with Fail().
   bool ok() const { return ok_; }
+
+  /// Marks the blob as unparseable (e.g. a layout field that does not match
+  /// the reader's): ok() turns false and every later read returns zero.
+  void Fail() { ok_ = false; }
   size_t remaining() const { return len_ - off_; }
   bool AtEnd() const { return off_ == len_; }
 

@@ -6,27 +6,51 @@
 
 namespace klink {
 
-void StreamQueue::Grow() {
-  // Linearize the circular chunk order so the fresh chunk lands at the
-  // logical tail, then append it. O(chunk count) pointer moves, amortized
-  // over kChunkEvents pushes per chunk.
-  std::rotate(chunks_.begin(),
-              chunks_.begin() + static_cast<ptrdiff_t>(chunk_head_),
-              chunks_.end());
-  chunk_head_ = 0;
-  chunks_.push_back(std::make_unique<Chunk>());
+void StreamQueue::AddBackChunk() {
+  if (chunk_count_ == chunks_.size()) {
+    // Full ring: move the in-use run, in order, into a ring twice the size.
+    // O(chunk count) pointer moves, amortized over the pushes that filled
+    // those chunks.
+    std::vector<std::unique_ptr<Chunk>> ring(
+        std::max<size_t>(2, 2 * chunks_.size()));
+    for (size_t i = 0; i < chunk_count_; ++i) {
+      ring[i] = std::move(chunks_[RingSlot(i)]);
+    }
+    chunks_ = std::move(ring);
+    chunk_head_ = 0;
+  }
+  std::unique_ptr<Chunk>& slot = chunks_[RingSlot(chunk_count_)];
+  slot = spare_ != nullptr ? std::move(spare_) : std::make_unique<Chunk>();
+  ++chunk_count_;
 }
 
-void StreamQueue::RecycleFrontChunk() {
-  // The drained chunk stays in chunks_; advancing chunk_head_ moves it into
-  // the spare region between the in-use tail and the (new) head.
-  chunk_head_ = (chunk_head_ + 1) % chunks_.size();
+void StreamQueue::RetireFrontChunk() {
+  std::unique_ptr<Chunk>& front = chunks_[chunk_head_];
+  if (spare_ == nullptr) {
+    spare_ = std::move(front);
+  } else {
+    front.reset();
+  }
+  chunk_head_ = RingSlot(1);
+  --chunk_count_;
+  head_ = 0;
+}
+
+void StreamQueue::ReleaseChunks() {
+  for (size_t i = 0; i < chunk_count_; ++i) {
+    chunks_[RingSlot(i)].reset();
+  }
+  spare_.reset();
+  chunk_head_ = 0;
+  chunk_count_ = 0;
   head_ = 0;
 }
 
 void StreamQueue::Push(const Event& e) {
   const int64_t tail = head_ + size_;
-  if (tail == static_cast<int64_t>(chunks_.size()) * kChunkEvents) Grow();
+  if (tail == static_cast<int64_t>(chunk_count_) * kChunkEvents) {
+    AddBackChunk();
+  }
   chunks_[ChunkIndexFor(tail)]->events[tail & (kChunkEvents - 1)] = e;
   ++size_;
   const int64_t delta = e.payload_bytes + kPerEventOverhead;
@@ -42,7 +66,9 @@ void StreamQueue::PushBatch(const Event* events, int64_t n) {
   int64_t i = 0;
   while (i < n) {
     const int64_t tail = head_ + size_;
-    if (tail == static_cast<int64_t>(chunks_.size()) * kChunkEvents) Grow();
+    if (tail == static_cast<int64_t>(chunk_count_) * kChunkEvents) {
+      AddBackChunk();
+    }
     const int64_t offset = tail & (kChunkEvents - 1);
     const int64_t room = kChunkEvents - offset;
     const int64_t run = std::min(n - i, room);
@@ -66,7 +92,11 @@ Event StreamQueue::Pop() {
   Event e = chunks_[chunk_head_]->events[head_];
   ++head_;
   --size_;
-  if (head_ == kChunkEvents) RecycleFrontChunk();
+  if (size_ == 0) {
+    ReleaseChunks();
+  } else if (head_ == kChunkEvents) {
+    RetireFrontChunk();
+  }
   const int64_t delta = e.payload_bytes + kPerEventOverhead;
   bytes_ -= delta;
   if (e.is_keyed_element()) --data_count_;
@@ -92,9 +122,10 @@ int64_t StreamQueue::PopBatch(Event* out, int64_t max_n) {
     out += run;
     head_ += run;
     remaining -= run;
-    if (head_ == kChunkEvents) RecycleFrontChunk();
+    if (head_ == kChunkEvents) RetireFrontChunk();
   }
   size_ -= n;
+  if (size_ == 0) ReleaseChunks();
   bytes_ -= delta;
   data_count_ -= data;
   KLINK_DCHECK(bytes_ >= 0);
@@ -131,8 +162,7 @@ int64_t StreamQueue::AuditRecomputeDataCount() const {
 
 void StreamQueue::Clear() {
   ReportDelta(-bytes_);
-  chunk_head_ = 0;
-  head_ = 0;
+  ReleaseChunks();
   size_ = 0;
   bytes_ = 0;
   data_count_ = 0;

@@ -26,12 +26,16 @@ class MemoryDeltaSink {
 ///
 /// Storage is a chunked ring buffer: a circular list of fixed-size chunks
 /// of `kChunkEvents` (a power of two, so in-chunk offsets reduce to a
-/// mask). Chunks drained at the front are recycled to the back, so a
-/// steady-state queue allocates nothing; growth only reallocates the small
-/// chunk-pointer vector. Batch transfers (`PushBatch`/`PopBatch`) move
-/// contiguous runs per chunk and fold the byte/data-count accounting into
-/// one update per call instead of one per element — the queue half of the
-/// batched hot path (DESIGN.md "Hot path").
+/// mask). Memory follows the live events, not the queue's high-water mark:
+/// a drained front chunk becomes the queue's single spare (reused by the
+/// next chunk the tail needs), any further drained chunk is freed, and a
+/// queue that drains to empty frees every chunk, the spare included. Under
+/// a scheduler that runs a few of many queries per cycle, each queue peaks
+/// at a different time, so retaining per-queue peaks would hold the sum of
+/// all high-water marks rather than the live events (DESIGN.md "Hot path").
+/// Batch transfers (`PushBatch`/`PopBatch`) move contiguous runs per chunk
+/// and fold the byte/data-count accounting into one update per call
+/// instead of one per element — the queue half of the batched hot path.
 class StreamQueue {
  public:
   /// Fixed simulated per-element bookkeeping overhead in bytes.
@@ -77,7 +81,7 @@ class StreamQueue {
   /// Number of queued data (non-punctuation) elements.
   int64_t data_count() const { return data_count_; }
 
-  /// Drops everything. Chunks stay allocated for reuse.
+  /// Drops everything and frees every chunk.
   void Clear();
 
   /// Routes byte-accounting deltas (push/pop/clear) to `sink` in addition
@@ -102,28 +106,40 @@ class StreamQueue {
     Event events[kChunkEvents];
   };
 
-  /// Chunk-pointer index (into chunks_) holding global element offset `g`,
-  /// where g counts from the start of the front chunk.
-  size_t ChunkIndexFor(int64_t g) const {
-    return (chunk_head_ + static_cast<size_t>(g / kChunkEvents)) %
-           chunks_.size();
+  /// Ring slot (into chunks_) of the `i`-th chunk from the front.
+  size_t RingSlot(size_t i) const {
+    return (chunk_head_ + i) & (chunks_.size() - 1);
   }
 
-  /// Makes room for at least one more element at the back.
-  void Grow();
+  /// Ring slot of the chunk holding global element offset `g`, where g
+  /// counts from the start of the front chunk.
+  size_t ChunkIndexFor(int64_t g) const {
+    return RingSlot(static_cast<size_t>(g / kChunkEvents));
+  }
 
-  /// Retires the (fully drained) front chunk back to the spare pool.
-  void RecycleFrontChunk();
+  /// Appends a chunk at the back of the in-use run: the spare if there is
+  /// one, else a fresh allocation. Doubles the ring when it is full.
+  void AddBackChunk();
+
+  /// Retires the fully drained front chunk: it becomes the spare unless
+  /// there already is one, in which case it is freed.
+  void RetireFrontChunk();
+
+  /// Frees every chunk, the spare included. Called when the queue empties.
+  void ReleaseChunks();
 
   void ReportDelta(int64_t delta) {
     if (sink_ != nullptr && delta != 0) sink_->OnMemoryDelta(delta);
   }
 
-  /// Chunks in circular order starting at chunk_head_. Spare (drained)
-  /// chunks live between the in-use tail and chunk_head_.
+  /// Ring of chunk slots, size zero or a power of two. The in-use chunks
+  /// are the `chunk_count_` slots starting at chunk_head_ (circularly);
+  /// every other slot is null.
   std::vector<std::unique_ptr<Chunk>> chunks_;
-  size_t chunk_head_ = 0;  // chunks_ index of the chunk holding the front
-  int64_t head_ = 0;       // front offset within the front chunk
+  std::unique_ptr<Chunk> spare_;
+  size_t chunk_head_ = 0;   // chunks_ index of the chunk holding the front
+  size_t chunk_count_ = 0;  // in-use chunks
+  int64_t head_ = 0;        // front offset within the front chunk
   int64_t size_ = 0;
   int64_t bytes_ = 0;
   int64_t data_count_ = 0;

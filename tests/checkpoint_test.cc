@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/histogram.h"
 #include "src/common/serialize.h"
 #include "src/net/delay_model.h"
 #include "src/query/pipeline_builder.h"
@@ -140,6 +141,26 @@ TEST(CheckpointStateTest, OperatorRoundTripIsByteIdentical) {
     // this is what makes a restored run's results byte-identical.
     EXPECT_EQ(SerializeAllOps(*fresh), blobs) << "join=" << join;
   }
+}
+
+TEST(CheckpointStateDeathTest, WrongHistogramBucketCountIsALayoutMismatch) {
+  // A sink blob whose latency histogram declares the wrong bucket count:
+  // the histogram fails the reader, so restore reports a layout mismatch
+  // instead of parsing the following fields from misaligned bytes.
+  std::unique_ptr<Query> q = CountQuery(0);
+  LoadedQueryState state;
+  state.op_blobs = SerializeAllOps(*q);
+  std::vector<uint8_t>& sink = state.op_blobs.back();
+  // The sink blob ends with its two histograms (swm, then marker), each a
+  // u64 bucket count, the buckets, and four 8-byte summary fields.
+  const size_t histogram_bytes =
+      8 * (1 + static_cast<size_t>(Histogram::kNumBuckets) + 4);
+  ASSERT_GE(sink.size(), 2 * histogram_bytes);
+  const size_t swm_offset = sink.size() - 2 * histogram_bytes;
+  ASSERT_EQ(sink[swm_offset], Histogram::kNumBuckets & 0xff);
+  sink[swm_offset] = static_cast<uint8_t>((Histogram::kNumBuckets - 1) & 0xff);
+  EXPECT_DEATH(RestoreQueryState(state, CountQuery(0).get()),
+               "KLINK_CHECK failed.*r\\.ok\\(\\)");
 }
 
 TEST(CheckpointCoordinatorTest, WritesDurableEpochsDuringRun) {

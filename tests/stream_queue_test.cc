@@ -9,6 +9,20 @@
 #include "src/common/rng.h"
 
 namespace klink {
+
+/// Reads the chunk bookkeeping the lifecycle tests assert on.
+class StreamQueueTestPeer {
+ public:
+  /// Chunks the queue owns: in-use ring slots plus the spare.
+  static int64_t OwnedChunks(const StreamQueue& q) {
+    int64_t owned = q.spare_ != nullptr ? 1 : 0;
+    for (const auto& chunk : q.chunks_) owned += chunk != nullptr ? 1 : 0;
+    return owned;
+  }
+  /// Front offset within the front chunk.
+  static int64_t Head(const StreamQueue& q) { return q.head_; }
+};
+
 namespace {
 
 /// Memory sink that records the running sum of reported deltas.
@@ -180,13 +194,21 @@ TEST(StreamQueueTest, PopBatchSpansChunkBoundary) {
 }
 
 TEST(StreamQueueTest, InterleavedOpsKeepInvariants) {
-  // Randomized interleaving of Push/PushBatch/Pop/PopBatch/Clear checked
-  // against a reference deque; byte and data-count invariants must hold
-  // after every operation.
+  // Seeded random Push/PushBatch/Pop/PopBatch/Clear checked against a
+  // reference deque. Phases alternate between growing the queue across
+  // several chunks and draining it to empty, so chunk retirement, spare
+  // reuse and release-on-empty all run many times. After every operation:
+  // FIFO order, bytes, data count, the bound sink's running total, and the
+  // chunk-ownership bound (none when empty, else the chunks spanning
+  // [0, head + size) plus one spare).
   Rng rng(2024);
+  RecordingSink sink;
   StreamQueue q;
+  q.BindAccounting(&sink);
   std::deque<Event> ref;
   std::vector<Event> scratch(256);
+  int64_t drains = 0;
+  int64_t max_chunks = 0;
   auto check = [&] {
     ASSERT_EQ(q.size(), static_cast<int64_t>(ref.size()));
     int64_t bytes = 0;
@@ -197,48 +219,111 @@ TEST(StreamQueueTest, InterleavedOpsKeepInvariants) {
     }
     ASSERT_EQ(q.bytes(), bytes);
     ASSERT_EQ(q.data_count(), data);
+    ASSERT_EQ(sink.total, bytes);
     ASSERT_EQ(q.OldestIngestTime(),
               ref.empty() ? kNoTime : ref.front().ingest_time);
+    const int64_t owned = StreamQueueTestPeer::OwnedChunks(q);
+    if (ref.empty()) {
+      ASSERT_EQ(owned, 0);
+    } else {
+      const int64_t span = StreamQueueTestPeer::Head(q) + q.size();
+      const int64_t in_use =
+          (span + StreamQueue::kChunkEvents - 1) / StreamQueue::kChunkEvents;
+      ASSERT_LE(owned, in_use + 1);
+      max_chunks = std::max(max_chunks, owned);
+    }
   };
-  for (int step = 0; step < 4000; ++step) {
-    const int64_t action = rng.NextInt(0, 9);
-    if (action <= 2) {
+  bool filling = true;
+  for (int step = 0; step < 6000; ++step) {
+    if (filling && q.size() > rng.NextInt(1, 5) * StreamQueue::kChunkEvents) {
+      filling = false;
+    } else if (!filling && ref.empty()) {
+      filling = true;
+      ++drains;
+    }
+    // Filling favours pushes 3:1; draining favours pops 3:1.
+    const bool push = rng.NextInt(0, 3) == 0 ? !filling : filling;
+    const int64_t action = rng.NextInt(0, 1);
+    if (push && action == 0) {
       const Event e = MakeDataEvent(step, step + 1,
                                     rng.NextUint64() % 1000, 1.0,
                                     static_cast<uint32_t>(rng.NextInt(16, 256)));
       q.Push(e);
       ref.push_back(e);
-    } else if (action <= 4) {
+    } else if (push) {
       const int64_t n = rng.NextInt(1, 200);
       scratch.clear();
       for (int64_t i = 0; i < n; ++i) {
-        scratch.push_back(i % 5 == 0 ? MakeWatermark(step, step)
-                                     : MakeDataEvent(step, step, 7, 1.0));
+        scratch.push_back(i % 5 == 0
+                              ? MakeWatermark(step, step)
+                              : MakeDataEvent(step, step,
+                                              rng.NextUint64() % 1000, 1.0));
       }
       q.PushBatch(scratch.data(), n);
       ref.insert(ref.end(), scratch.begin(), scratch.end());
-    } else if (action <= 6) {
+    } else if (rng.NextInt(0, 199) == 0) {
+      q.Clear();
+      ref.clear();
+    } else if (action == 0) {
       if (!ref.empty()) {
         const Event got = q.Pop();
         ASSERT_EQ(got.key, ref.front().key);
         ASSERT_EQ(got.kind, ref.front().kind);
         ref.pop_front();
       }
-    } else if (action <= 8) {
+    } else {
       const int64_t want = rng.NextInt(1, 150);
       scratch.resize(static_cast<size_t>(want));
       const int64_t got = q.PopBatch(scratch.data(), want);
       ASSERT_EQ(got, std::min<int64_t>(want, static_cast<int64_t>(ref.size())));
       for (int64_t i = 0; i < got; ++i) {
         ASSERT_EQ(scratch[static_cast<size_t>(i)].key, ref.front().key);
+        ASSERT_EQ(scratch[static_cast<size_t>(i)].kind, ref.front().kind);
         ref.pop_front();
       }
-    } else if (rng.NextInt(0, 19) == 0) {
-      q.Clear();
-      ref.clear();
     }
     check();
+    if (HasFatalFailure()) return;
   }
+  // The schedule really exercised the lifecycle: many drains to empty and
+  // queues spanning several chunks.
+  EXPECT_GT(drains, 20);
+  EXPECT_GE(max_chunks, 4);
+}
+
+TEST(StreamQueueTest, DrainedChunksBecomeOneSpareThenAreFreed) {
+  StreamQueue q;
+  uint64_t key = 0;
+  for (int64_t i = 0; i < 4 * StreamQueue::kChunkEvents; ++i) {
+    q.Push(MakeDataEvent(0, 0, key++, 0.0));
+  }
+  EXPECT_EQ(StreamQueueTestPeer::OwnedChunks(q), 4);
+  std::vector<Event> out(static_cast<size_t>(StreamQueue::kChunkEvents));
+  // The first drained chunk is kept as the spare...
+  q.PopBatch(out.data(), StreamQueue::kChunkEvents);
+  EXPECT_EQ(StreamQueueTestPeer::OwnedChunks(q), 4);
+  // ...a second one is freed.
+  for (int64_t i = 0; i < StreamQueue::kChunkEvents; ++i) q.Pop();
+  EXPECT_EQ(StreamQueueTestPeer::OwnedChunks(q), 3);
+  // The next chunk the tail needs is the spare: no growth.
+  for (int64_t i = 0; i < StreamQueue::kChunkEvents; ++i) {
+    q.Push(MakeDataEvent(0, 0, key++, 0.0));
+  }
+  EXPECT_EQ(StreamQueueTestPeer::OwnedChunks(q), 3);
+  uint64_t expect = 2 * static_cast<uint64_t>(StreamQueue::kChunkEvents);
+  while (q.size() > 1) ASSERT_EQ(q.Pop().key, expect++);
+  EXPECT_GE(StreamQueueTestPeer::OwnedChunks(q), 1);
+  // Draining to empty releases everything, the spare included.
+  ASSERT_EQ(q.Pop().key, expect++);
+  EXPECT_EQ(StreamQueueTestPeer::OwnedChunks(q), 0);
+  EXPECT_EQ(expect, key);
+  // So does Clear, and the queue is usable afterwards.
+  q.Push(MakeDataEvent(0, 0, 7, 0.0));
+  EXPECT_EQ(StreamQueueTestPeer::OwnedChunks(q), 1);
+  q.Clear();
+  EXPECT_EQ(StreamQueueTestPeer::OwnedChunks(q), 0);
+  q.Push(MakeDataEvent(0, 0, 8, 0.0));
+  EXPECT_EQ(q.Pop().key, 8u);
 }
 
 TEST(StreamQueueTest, BoundSinkObservesAllDeltas) {
