@@ -1,17 +1,25 @@
 #include "src/event/stream_queue.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "src/common/check.h"
 
 namespace klink {
+
+// NewChunk hands out uninitialized storage and ChunkFree never runs a
+// destructor: both are sound only while Event stays an implicit-lifetime,
+// trivially copyable aggregate.
+static_assert(std::is_aggregate_v<Event>);
+static_assert(std::is_trivially_copyable_v<Event>);
+static_assert(std::is_trivially_destructible_v<Event>);
 
 void StreamQueue::AddBackChunk() {
   if (chunk_count_ == chunks_.size()) {
     // Full ring: move the in-use run, in order, into a ring twice the size.
     // O(chunk count) pointer moves, amortized over the pushes that filled
     // those chunks.
-    std::vector<std::unique_ptr<Chunk>> ring(
+    std::vector<ChunkPtr> ring(
         std::max<size_t>(2, 2 * chunks_.size()));
     for (size_t i = 0; i < chunk_count_; ++i) {
       ring[i] = std::move(chunks_[RingSlot(i)]);
@@ -19,13 +27,13 @@ void StreamQueue::AddBackChunk() {
     chunks_ = std::move(ring);
     chunk_head_ = 0;
   }
-  std::unique_ptr<Chunk>& slot = chunks_[RingSlot(chunk_count_)];
-  slot = spare_ != nullptr ? std::move(spare_) : std::make_unique<Chunk>();
+  ChunkPtr& slot = chunks_[RingSlot(chunk_count_)];
+  slot = spare_ != nullptr ? std::move(spare_) : NewChunk();
   ++chunk_count_;
 }
 
 void StreamQueue::RetireFrontChunk() {
-  std::unique_ptr<Chunk>& front = chunks_[chunk_head_];
+  ChunkPtr& front = chunks_[chunk_head_];
   if (spare_ == nullptr) {
     spare_ = std::move(front);
   } else {
@@ -115,11 +123,10 @@ int64_t StreamQueue::PopBatch(Event* out, int64_t max_n) {
     const int64_t run = std::min(remaining, kChunkEvents - head_);
     const Event* src = &chunks_[chunk_head_]->events[head_];
     for (int64_t k = 0; k < run; ++k) {
-      out[k] = src[k];
       delta += src[k].payload_bytes + kPerEventOverhead;
       data += src[k].is_keyed_element() ? 1 : 0;
     }
-    out += run;
+    if (out != nullptr) out = std::copy_n(src, run, out);
     head_ += run;
     remaining -= run;
     if (head_ == kChunkEvents) RetireFrontChunk();

@@ -31,13 +31,8 @@ void IngestGateway::AuditStream(const Stream& s) const {
   // Staging ring buffer: incremental byte/data counters vs a full walk.
   KLINK_CHECK_EQ(s.staged.bytes(), s.staged.AuditRecomputeBytes());
   KLINK_CHECK_EQ(s.staged.data_count(), s.staged.AuditRecomputeDataCount());
-  // Scratch run: the pending-commit byte total matches its elements.
-  int64_t scratch = 0;
-  for (const Event& e : s.scratch) scratch += StagedCost(e);
-  KLINK_CHECK_EQ(s.scratch_bytes, scratch);
-  // A stalled connection is only declared while over the resume threshold
-  // or still undrained; staged volume never exceeds budget by more than
-  // the final committed run (credit is checked pre-decode, per frame).
+  // Staged volume exceeds the budget by at most one event (the server
+  // checks credit before staging each element frame).
   KLINK_CHECK_GE(s.staged.bytes(), 0);
 }
 
@@ -47,14 +42,16 @@ void IngestGateway::RegisterStream(uint32_t stream_id,
   KLINK_CHECK_GT(config.resume_fraction, 0.0);
   KLINK_CHECK_LE(config.resume_fraction, 1.0);
   KLINK_CHECK(streams_.find(stream_id) == streams_.end());
-  streams_[stream_id].config = config;
+  Stream& s = streams_[stream_id];
+  s.id_ = stream_id;
+  s.config = config;
 }
 
 bool IngestGateway::HasStream(uint32_t stream_id) const {
   return streams_.find(stream_id) != streams_.end();
 }
 
-IngestGateway::Stream& IngestGateway::GetStream(uint32_t stream_id) {
+IngestGateway::Stream& IngestGateway::Resolve(uint32_t stream_id) {
   auto it = streams_.find(stream_id);
   KLINK_CHECK(it != streams_.end());
   return it->second;
@@ -67,14 +64,12 @@ const IngestGateway::Stream& IngestGateway::GetStream(
   return it->second;
 }
 
-bool IngestGateway::HasCredit(uint32_t stream_id) const {
-  const Stream& s = GetStream(stream_id);
-  return s.staged.bytes() + s.scratch_bytes < s.config.byte_budget;
+bool IngestGateway::HasCredit(const Stream& s) const {
+  return s.staged.bytes() < s.config.byte_budget;
 }
 
-IngestGateway::SeqDecision IngestGateway::AcceptSeq(uint32_t stream_id,
+IngestGateway::SeqDecision IngestGateway::AcceptSeq(Stream& s,
                                                     uint64_t seq) {
-  Stream& s = GetStream(stream_id);
   if (seq == s.last_seq_received + 1) {
     s.last_seq_received = seq;
     return SeqDecision::kAccept;
@@ -86,69 +81,78 @@ IngestGateway::SeqDecision IngestGateway::AcceptSeq(uint32_t stream_id,
   return SeqDecision::kGap;
 }
 
-void IngestGateway::Deliver(uint32_t stream_id, const Event& e) {
-  Stream& s = GetStream(stream_id);
-  s.scratch.push_back(e);
-  s.scratch_bytes += StagedCost(e);
+void IngestGateway::Deliver(Stream& s, const Event& e) {
+  s.staged.Push(e);
+  s.run_through = e.ingest_time;
 }
 
-void IngestGateway::Flush(uint32_t stream_id) {
-  Stream& s = GetStream(stream_id);
-  if (s.scratch.empty()) return;
-  s.staged.PushBatch(s.scratch.data(),
-                     static_cast<int64_t>(s.scratch.size()));
-  // Clients send in ingestion order, so the last committed element's
+void IngestGateway::Flush(Stream& s) {
+  if (s.run_through == kNoTime) return;
+  // Clients send in ingestion order, so the run's last element's
   // ingest_time is the stream's arrival watermark.
-  s.staged_through =
-      std::max(s.staged_through, s.scratch.back().ingest_time);
-  s.scratch.clear();
-  s.scratch_bytes = 0;
-  IngestStreamMetrics& m = metrics_.stream(stream_id);
+  s.staged_through = std::max(s.staged_through, s.run_through);
+  s.run_through = kNoTime;
+  IngestStreamMetrics& m = metrics_.stream(s.id_);
   m.peak_staged_bytes = std::max(m.peak_staged_bytes, s.staged.bytes());
   AuditStream(s);
 }
 
-void IngestGateway::NoteStall(uint32_t stream_id) {
-  Stream& s = GetStream(stream_id);
+void IngestGateway::NoteStall(Stream& s) {
   if (s.stalled) return;
   s.stalled = true;
   s.stall_start_micros = WallMicros();
-  ++metrics_.stream(stream_id).backpressure_stalls;
+  ++metrics_.stream(s.id_).backpressure_stalls;
 }
 
-bool IngestGateway::TryResume(uint32_t stream_id) {
-  Stream& s = GetStream(stream_id);
+bool IngestGateway::TryResume(Stream& s) {
   if (!s.stalled) return true;
   const int64_t resume_below = static_cast<int64_t>(
       static_cast<double>(s.config.byte_budget) * s.config.resume_fraction);
-  if (s.staged.bytes() + s.scratch_bytes >= resume_below) return false;
+  if (s.staged.bytes() >= resume_below) return false;
   s.stalled = false;
-  metrics_.stream(stream_id).stall_micros +=
+  metrics_.stream(s.id_).stall_micros +=
       WallMicros() - s.stall_start_micros;
   return true;
 }
 
 void IngestGateway::MarkEndOfStream(uint32_t stream_id) {
-  GetStream(stream_id).ended = true;
+  Resolve(stream_id).ended = true;
 }
 
 TimeMicros IngestGateway::PeekIngestTime(uint32_t stream_id) const {
-  const Stream& s = GetStream(stream_id);
-  return s.staged.empty() ? kNoTime : s.staged.Front().ingest_time;
+  return PeekIngestTime(GetStream(stream_id));
 }
 
-const Event& IngestGateway::Front(uint32_t stream_id) const {
-  return GetStream(stream_id).staged.Front();
+TimeMicros IngestGateway::PeekIngestTime(const Stream& s) const {
+  return s.staged.OldestIngestTime();
 }
 
-Event IngestGateway::Pop(uint32_t stream_id) {
-  Stream& s = GetStream(stream_id);
-  Event e = s.staged.Pop();
+bool IngestGateway::PopRun(Stream& s, TimeMicros through, int64_t max_bytes,
+                           int64_t* delivered, int source_index,
+                           std::vector<EventFeed::FeedElement>* out) {
+  int64_t n = 0;
+  int64_t bytes = *delivered;
+  bool budget_stop = false;
+  for (; n < s.staged.size(); ++n) {
+    const Event& e = s.staged.At(n);
+    if (e.ingest_time > through) break;
+    const int64_t sz = StagedCost(e);
+    if (bytes > 0 && bytes + sz > max_bytes) {
+      budget_stop = true;
+      break;
+    }
+    bytes += sz;
+    out->push_back(EventFeed::FeedElement{source_index, e});
+  }
+  *delivered = bytes;
+  if (n == 0) return !budget_stop;
+  s.staged.PopBatch(nullptr, n);  // already copied out above
   // Seqs are contiguous and every accepted element passes through the
-  // staging queue exactly once, so the delivered cursor is a simple count.
-  ++s.delivered_seq;
+  // staging queue exactly once, so the delivered cursor advances by the
+  // run length.
+  s.delivered_seq += static_cast<uint64_t>(n);
   AuditStream(s);
-  return e;
+  return !budget_stop;
 }
 
 uint64_t IngestGateway::last_seq_received(uint32_t stream_id) const {
@@ -164,9 +168,8 @@ int64_t IngestGateway::duplicate_events(uint32_t stream_id) const {
 }
 
 void IngestGateway::RestoreCursor(uint32_t stream_id, uint64_t seq) {
-  Stream& s = GetStream(stream_id);
+  Stream& s = Resolve(stream_id);
   KLINK_CHECK(s.staged.empty());  // rewind before serving, not mid-stream
-  KLINK_CHECK(s.scratch.empty());
   s.last_seq_received = seq;
   s.delivered_seq = seq;
 }
@@ -201,49 +204,67 @@ TimeMicros IngestGateway::StagedThrough(uint32_t stream_id) const {
 
 NetworkFeed::NetworkFeed(IngestGateway* gateway,
                          std::vector<uint32_t> stream_ids)
-    : gateway_(gateway), streams_(std::move(stream_ids)) {
+    : gateway_(gateway) {
   KLINK_CHECK(gateway_ != nullptr);
-  KLINK_CHECK(!streams_.empty());
-  for (uint32_t id : streams_) KLINK_CHECK(gateway_->HasStream(id));
+  KLINK_CHECK(!stream_ids.empty());
+  for (uint32_t id : stream_ids) {
+    KLINK_CHECK(gateway_->HasStream(id));
+    streams_.push_back(&gateway_->Resolve(id));
+  }
 }
 
 void NetworkFeed::PollUpTo(TimeMicros now, int64_t max_bytes,
                            std::vector<FeedElement>* out) {
   // Merge the feed's streams in ingestion order, delivering elements due
   // by `now` under the same byte-budget rule as SyntheticFeed::PollUpTo
-  // (always at least one element, stop before exceeding the budget).
+  // (always at least one element, stop before exceeding the budget). The
+  // merge takes runs: the stream with the earliest front (lower index on
+  // ties) keeps the turn while its front still precedes every other
+  // stream's, which is exactly the sequence a one-element-at-a-time merge
+  // would pop. A lone stream's run is its whole due prefix.
   int64_t delivered = 0;
   while (true) {
     int best = -1;
     TimeMicros best_time = 0;
+    int next = -1;  // runner-up: bounds best's run
+    TimeMicros next_time = 0;
     for (size_t i = 0; i < streams_.size(); ++i) {
-      const TimeMicros t = gateway_->PeekIngestTime(streams_[i]);
+      const TimeMicros t = gateway_->PeekIngestTime(*streams_[i]);
       if (t == kNoTime || t > now) continue;
       if (best < 0 || t < best_time) {
+        next = best;
+        next_time = best_time;
         best = static_cast<int>(i);
         best_time = t;
+      } else if (next < 0 || t < next_time) {
+        next = static_cast<int>(i);
+        next_time = t;
       }
     }
     if (best < 0) break;
-    const uint32_t stream = streams_[static_cast<size_t>(best)];
-    const int64_t sz = gateway_->Front(stream).payload_bytes +
-                       StreamQueue::kPerEventOverhead;
-    if (delivered > 0 && delivered + sz > max_bytes) break;
-    delivered += sz;
-    out->push_back(FeedElement{best, gateway_->Pop(stream)});
+    // best's run may include elements up to the runner-up's front time,
+    // inclusive only when best wins the index tie-break.
+    const TimeMicros through =
+        next < 0 ? now : (best < next ? next_time : next_time - 1);
+    if (!gateway_->PopRun(*streams_[static_cast<size_t>(best)], through,
+                          max_bytes, &delivered, best, out)) {
+      break;
+    }
   }
 }
 
 int64_t NetworkFeed::generated_events() const {
   int64_t n = 0;
-  for (uint32_t id : streams_) n += gateway_->data_events(id);
+  for (const IngestGateway::Stream* s : streams_) {
+    n += gateway_->data_events(s->id());
+  }
   return n;
 }
 
 TimeMicros NetworkFeed::SafeThrough() const {
   TimeMicros safe = std::numeric_limits<TimeMicros>::max();
-  for (uint32_t id : streams_) {
-    safe = std::min(safe, gateway_->StagedThrough(id));
+  for (const IngestGateway::Stream* s : streams_) {
+    safe = std::min(safe, gateway_->StagedThrough(s->id()));
   }
   return safe;
 }

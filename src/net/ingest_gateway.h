@@ -36,8 +36,9 @@ struct IngestStreamConfig {
 };
 
 /// Bridges decoded wire frames into the engine: one staging StreamQueue
-/// ring buffer per registered stream, filled by the IngestServer's decode
-/// path via PushBatch and drained by a NetworkFeed on the engine side.
+/// ring buffer per registered stream, filled element by element by the
+/// IngestServer's decode path and drained a run at a time (PopRun) by a
+/// NetworkFeed on the engine side.
 ///
 /// Credit-based backpressure (DESIGN.md "Network ingest"): the server asks
 /// HasCredit() before decoding each element frame; when the staging queue
@@ -68,32 +69,71 @@ class IngestGateway {
     kGap,        ///< skipped ahead: protocol violation, fail the connection
   };
 
+  /// One registered stream's staging state, opaque outside the gateway.
+  /// Streams are never unregistered and std::map nodes do not move, so a
+  /// handle from Resolve() stays valid for the gateway's lifetime: the
+  /// decode and drain paths resolve a stream id once per connection or
+  /// feed instead of once per element.
+  class Stream {
+   public:
+    uint32_t id() const { return id_; }
+
+   private:
+    friend class IngestGateway;
+    uint32_t id_ = 0;
+    IngestStreamConfig config;
+    StreamQueue staged;
+    TimeMicros staged_through = 0;
+    /// ingest_time of the last element staged since the last Flush, or
+    /// kNoTime when the current run is empty.
+    TimeMicros run_through = kNoTime;
+    bool stalled = false;
+    int64_t stall_start_micros = 0;  // wall clock
+    bool ended = false;
+    uint64_t last_seq_received = 0;  // highest accepted (0 = none yet)
+    uint64_t delivered_seq = 0;      // last seq popped by the engine
+    int64_t duplicates = 0;          // replayed frames dropped by dedup
+  };
+
+  /// The handle of registered stream `stream_id` (CHECK-fails otherwise).
+  Stream& Resolve(uint32_t stream_id);
+
   /// ---- decode path (called by IngestServer) --------------------------
-  /// True while the stream's staged + scratch bytes are under budget.
-  bool HasCredit(uint32_t stream_id) const;
+  /// True while the stream's staged bytes are under budget.
+  bool HasCredit(const Stream& s) const;
   /// Admits or rejects an element frame by its sequence number. Seqs are
   /// client-assigned, contiguous from 1 per stream; after a reconnect the
   /// client replays its unacked tail, so overlaps are expected (dropped as
   /// duplicates) while gaps can only mean a broken client.
-  SeqDecision AcceptSeq(uint32_t stream_id, uint64_t seq);
-  /// Stages one decoded element (into the scratch run; Flush commits).
-  void Deliver(uint32_t stream_id, const Event& e);
-  /// Commits the scratch run into the staging ring buffer with one
-  /// PushBatch, and advances the stream's arrival watermark.
-  void Flush(uint32_t stream_id);
+  SeqDecision AcceptSeq(Stream& s, uint64_t seq);
+  /// Stages one decoded element straight into the staging ring buffer.
+  void Deliver(Stream& s, const Event& e);
+  /// Ends the run of elements delivered since the last Flush: advances the
+  /// stream's arrival watermark to the run's last element and records the
+  /// peak staged volume.
+  void Flush(Stream& s);
   /// Records that the stream's connection was paused for lack of credit.
-  void NoteStall(uint32_t stream_id);
+  void NoteStall(Stream& s);
   /// True (ending the stall-time interval) once the staging queue has
   /// drained below the resume threshold, so the server may read again.
-  bool TryResume(uint32_t stream_id);
+  bool TryResume(Stream& s);
   /// Graceful end-of-stream (kBye received or connection closed cleanly).
   void MarkEndOfStream(uint32_t stream_id);
 
   /// ---- drain path (called by NetworkFeed on the engine thread) -------
   /// Ingest time of the oldest staged element, or kNoTime when empty.
   TimeMicros PeekIngestTime(uint32_t stream_id) const;
-  const Event& Front(uint32_t stream_id) const;
-  Event Pop(uint32_t stream_id);
+  TimeMicros PeekIngestTime(const Stream& s) const;
+  /// Pops the stream's longest front run of elements with ingest_time <=
+  /// `through`, appending them to `out` tagged with `source_index`, under
+  /// the EventFeed byte rule: `*delivered` counts the poll's bytes so far,
+  /// and an element is taken only while the poll is empty or it still fits
+  /// `max_bytes`. One PopBatch and one cursor/audit update per run: this
+  /// is the only place the replay cursor advances. Returns false when the
+  /// byte rule, not the run's end, stopped it.
+  bool PopRun(Stream& s, TimeMicros through, int64_t max_bytes,
+              int64_t* delivered, int source_index,
+              std::vector<EventFeed::FeedElement>* out);
 
   int64_t staged_bytes(uint32_t stream_id) const;
   int64_t staged_events(uint32_t stream_id) const;
@@ -106,7 +146,7 @@ class IngestGateway {
   /// ---- exactly-once bookkeeping --------------------------------------
   /// Highest sequence number accepted from the stream's connection.
   uint64_t last_seq_received(uint32_t stream_id) const;
-  /// Sequence number of the last element handed to the engine via Pop().
+  /// Sequence number of the last element handed to the engine (PopRun).
   /// Sampled by the checkpoint coordinator at barrier injection: it is the
   /// stream's replay cursor (everything <= it is pre-barrier).
   uint64_t delivered_seq(uint32_t stream_id) const;
@@ -128,26 +168,10 @@ class IngestGateway {
   const IngestMetrics& metrics() const { return metrics_; }
 
  private:
-  struct Stream {
-    IngestStreamConfig config;
-    StreamQueue staged;
-    std::vector<Event> scratch;  // decoded, not yet committed
-    int64_t scratch_bytes = 0;
-    TimeMicros staged_through = 0;
-    bool stalled = false;
-    int64_t stall_start_micros = 0;  // wall clock
-    bool ended = false;
-    uint64_t last_seq_received = 0;  // highest accepted (0 = none yet)
-    uint64_t delivered_seq = 0;      // last seq popped by the engine
-    int64_t duplicates = 0;          // replayed frames dropped by dedup
-  };
-
-  Stream& GetStream(uint32_t stream_id);
   const Stream& GetStream(uint32_t stream_id) const;
 
   /// KLINK_AUDIT=1: cross-checks one stream's staging accounting (ring
-  /// buffer bytes vs full recompute, scratch-run bytes, credit/stall
-  /// consistency, arrival-watermark monotonicity) at commit and drain
+  /// buffer bytes and data count vs full recompute) at run and drain
   /// boundaries. No-op when auditing is off.
   void AuditStream(const Stream& s) const;
 
@@ -180,7 +204,7 @@ class NetworkFeed final : public EventFeed {
 
  private:
   IngestGateway* gateway_;
-  std::vector<uint32_t> streams_;
+  std::vector<IngestGateway::Stream*> streams_;  // resolved once
 };
 
 }  // namespace klink

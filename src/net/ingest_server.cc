@@ -2,8 +2,8 @@
 
 #include <poll.h>
 
-#include <algorithm>
 #include <chrono>
+#include <cstring>
 
 #include "src/common/check.h"
 #include "src/net/socket.h"
@@ -27,7 +27,6 @@ IngestServer::IngestServer(const IngestServerConfig& config,
   KLINK_CHECK_GE(config_.max_connections, 1);
   KLINK_CHECK_GE(config_.idle_timeout_ms, 0);
   KLINK_CHECK_GT(config_.read_chunk_bytes, kWireHeaderLen);
-  read_scratch_.resize(config_.read_chunk_bytes);
 }
 
 IngestServer::~IngestServer() { Stop(); }
@@ -53,11 +52,13 @@ int64_t IngestServer::PollOnce(int timeout_ms) {
 
   // Resume connections whose streams regained credit since the last poll
   // (the engine drains staging queues between polls). Buffered bytes are
-  // decoded first; the connection may immediately re-pause.
+  // decoded first; the connection may immediately re-pause. The stall was
+  // the server's doing, so the idle clock restarts at the resume.
   for (size_t i = 0; i < conns_.size();) {
     Connection& c = conns_[i];
-    if (c.paused && gateway_->TryResume(static_cast<uint32_t>(c.stream_id))) {
+    if (c.paused && gateway_->TryResume(*c.stream)) {
       c.paused = false;
+      c.last_activity_micros = WallMicros();
       if (!DecodeBuffered(c, &delivered)) {
         conns_.erase(conns_.begin() + static_cast<ptrdiff_t>(i));
         continue;
@@ -66,33 +67,32 @@ int64_t IngestServer::PollOnce(int timeout_ms) {
     ++i;
   }
 
-  std::vector<pollfd> fds;
-  fds.reserve(conns_.size() + 1);
-  fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-  std::vector<size_t> fd_conn;  // fds[i + 1] -> conns_[fd_conn[i]]
+  fds_.clear();
+  fd_conn_.clear();
+  fds_.push_back(pollfd{listen_fd_, POLLIN, 0});
   for (size_t i = 0; i < conns_.size(); ++i) {
     if (conns_[i].paused) continue;
-    fds.push_back(pollfd{conns_[i].fd, POLLIN, 0});
-    fd_conn.push_back(i);
+    fds_.push_back(pollfd{conns_[i].fd, POLLIN, 0});
+    fd_conn_.push_back(i);
   }
 
-  const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+  const int rc = ::poll(fds_.data(), static_cast<nfds_t>(fds_.size()),
                         timeout_ms);
   if (rc < 0) return delivered;  // EINTR: retry next iteration
 
-  if ((fds[0].revents & POLLIN) != 0) AcceptPending();
+  if ((fds_[0].revents & POLLIN) != 0) AcceptPending();
 
-  std::vector<size_t> to_close;
-  for (size_t i = 0; i < fd_conn.size(); ++i) {
-    const short ev = fds[i + 1].revents;
+  // fd_conn_ is ascending, so to_close_ is too: erase back-to-front so
+  // indices stay valid.
+  to_close_.clear();
+  for (size_t i = 0; i < fd_conn_.size(); ++i) {
+    const short ev = fds_[i + 1].revents;
     if ((ev & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-    Connection& c = conns_[fd_conn[i]];
-    if (!ReadAndDecode(c, &delivered)) to_close.push_back(fd_conn[i]);
+    Connection& c = conns_[fd_conn_[i]];
+    if (!ReadAndDecode(c, &delivered)) to_close_.push_back(fd_conn_[i]);
   }
-  // Erase closed connections back-to-front so indices stay valid.
-  std::sort(to_close.begin(), to_close.end());
-  for (size_t i = to_close.size(); i > 0; --i) {
-    conns_.erase(conns_.begin() + static_cast<ptrdiff_t>(to_close[i - 1]));
+  for (size_t i = to_close_.size(); i > 0; --i) {
+    conns_.erase(conns_.begin() + static_cast<ptrdiff_t>(to_close_[i - 1]));
   }
 
   if (config_.idle_timeout_ms > 0) {
@@ -130,9 +130,24 @@ void IngestServer::AcceptPending() {
   }
 }
 
+void IngestServer::ReserveReadRoom(Connection& c) {
+  const size_t chunk = config_.read_chunk_bytes;
+  if (c.buf.size() - c.end >= chunk) return;
+  if (c.off > 0) {
+    // Slide the undecoded tail to the front. Only unpaused connections
+    // read, and they decode until kNeedMore, so the tail is one partial
+    // frame.
+    std::memmove(c.buf.data(), c.buf.data() + c.off, c.end - c.off);
+    c.end -= c.off;
+    c.off = 0;
+  }
+  if (c.buf.size() - c.end < chunk) c.buf.resize(c.end + chunk);
+}
+
 bool IngestServer::ReadAndDecode(Connection& c, int64_t* delivered) {
+  ReserveReadRoom(c);
   const StatusOr<int64_t> n =
-      ReadSome(c.fd, read_scratch_.data(), read_scratch_.size());
+      ReadSome(c.fd, c.buf.data() + c.end, config_.read_chunk_bytes);
   if (!n.ok()) {
     CloseConnection(c);
     return false;
@@ -146,19 +161,28 @@ bool IngestServer::ReadAndDecode(Connection& c, int64_t* delivered) {
   }
   c.last_activity_micros = WallMicros();
   gateway_->metrics().AddBytesRead(n.value());
-  c.buf.insert(c.buf.end(), read_scratch_.begin(),
-               read_scratch_.begin() + static_cast<ptrdiff_t>(n.value()));
+  c.end += static_cast<size_t>(n.value());
   return DecodeBuffered(c, delivered);
 }
 
 bool IngestServer::DecodeBuffered(Connection& c, int64_t* delivered) {
+  // Accepted element frames are counted per call and folded into the
+  // stream's IngestMetrics with one update (before any control frame, so
+  // hooks observe exact totals).
+  int64_t frames = 0;
+  int64_t wire_bytes = 0;
+  int64_t data = 0;
+  const auto commit_frames = [&]() {
+    if (frames == 0) return;
+    gateway_->metrics().AddFrames(c.stream->id(), frames, wire_bytes, data);
+    *delivered += frames;
+    frames = wire_bytes = data = 0;
+  };
   bool open = true;
-  while (open && !c.paused) {
-    Frame frame;
+  while (!c.paused) {
     size_t consumed = 0;
-    const DecodeResult r = DecodeFrame(c.buf.data() + c.off,
-                                       c.buf.size() - c.off, &frame,
-                                       &consumed);
+    const DecodeResult r = DecodeFrame(c.buf.data() + c.off, c.end - c.off,
+                                       &frame_, &consumed);
     if (r == DecodeResult::kNeedMore) break;
     if (r == DecodeResult::kVersionMismatch) {
       // Version skew (e.g. a v1 client against this v2 server) draws a
@@ -176,14 +200,14 @@ bool IngestServer::DecodeBuffered(Connection& c, int64_t* delivered) {
       open = false;
       break;
     }
-    if (IsElementFrame(frame.type)) {
-      if (c.stream_id < 0) {
+    if (IsElementFrame(frame_.type)) {
+      if (c.stream == nullptr) {
         FailConnection(c, WireError::kProtocolViolation,
                        "element frame before hello");
         open = false;
         break;
       }
-      const uint32_t stream = static_cast<uint32_t>(c.stream_id);
+      IngestGateway::Stream& stream = *c.stream;
       if (!gateway_->HasCredit(stream)) {
         // Out of credit: leave the frame in the buffer and stop reading
         // this socket until the engine drains the staging queue.
@@ -192,94 +216,93 @@ bool IngestServer::DecodeBuffered(Connection& c, int64_t* delivered) {
         c.paused = true;
         break;
       }
-      switch (gateway_->AcceptSeq(stream, frame.seq)) {
-        case IngestGateway::SeqDecision::kAccept:
-          gateway_->Deliver(stream, frame.event);
-          gateway_->metrics().AddFrame(stream,
-                                       static_cast<int64_t>(consumed),
-                                       frame.event.is_data());
-          ++*delivered;
-          break;
-        case IngestGateway::SeqDecision::kDuplicate:
-          // Replay overlap after a client reconnect: already staged (and
-          // possibly already checkpointed) — drop for exactly-once.
-          break;
-        case IngestGateway::SeqDecision::kGap:
-          FailConnection(c, WireError::kProtocolViolation, "sequence gap");
-          open = false;
-          break;
+      const IngestGateway::SeqDecision verdict =
+          gateway_->AcceptSeq(stream, frame_.seq);
+      if (verdict == IngestGateway::SeqDecision::kGap) {
+        FailConnection(c, WireError::kProtocolViolation, "sequence gap");
+        open = false;
+        break;
       }
-      if (!open) break;
+      // A duplicate is replay overlap after a client reconnect: already
+      // staged (and possibly already checkpointed), so it is dropped for
+      // exactly-once.
+      if (verdict == IngestGateway::SeqDecision::kAccept) {
+        gateway_->Deliver(stream, frame_.event);
+        ++frames;
+        wire_bytes += static_cast<int64_t>(consumed);
+        if (frame_.event.is_data()) ++data;
+      }
     } else {
+      commit_frames();
       gateway_->metrics().AddControlFrame();
-      switch (frame.type) {
-        case FrameType::kHello:
-          if (c.stream_id >= 0) {
-            FailConnection(c, WireError::kProtocolViolation,
-                           "duplicate hello");
-            open = false;
-          } else if (!gateway_->HasStream(frame.stream_id) &&
-                     !(config_.on_unknown_stream != nullptr &&
-                       config_.on_unknown_stream(frame.stream_id) &&
-                       gateway_->HasStream(frame.stream_id))) {
-            // Either no dynamic-attach hook, or it declined, or it claimed
-            // success without registering the stream (a broken hook).
-            FailConnection(c, WireError::kUnknownStream,
-                           "unknown stream id");
-            open = false;
-          } else {
-            c.stream_id = frame.stream_id;
-            // HELLO_ACK tells the client where to (re)start: the next
-            // acceptable sequence number. On a fresh stream that is 1; on
-            // a reconnect (or after a checkpoint restore rewound the
-            // cursor) the client skips or replays accordingly.
-            send_scratch_.clear();
-            EncodeHelloAck(frame.stream_id,
-                           gateway_->last_seq_received(frame.stream_id) + 1,
-                           &send_scratch_);
-            if (!SendAll(c.fd, send_scratch_.data(), send_scratch_.size())
-                     .ok()) {
-              CloseConnection(c);
-              open = false;
-            }
-          }
-          break;
-        case FrameType::kBye:
-          if (c.stream_id >= 0) {
-            const uint32_t stream = static_cast<uint32_t>(c.stream_id);
-            gateway_->Flush(stream);
-            gateway_->MarkEndOfStream(stream);
-            if (config_.on_stream_end != nullptr) {
-              config_.on_stream_end(stream);
-            }
-          }
-          c.stream_id = -1;  // end-of-stream already recorded
-          CloseConnection(c);
-          open = false;
-          break;
-        case FrameType::kError:
-          // Clients may report errors before disconnecting; just close.
-          CloseConnection(c);
-          open = false;
-          break;
-        default:
-          break;
+      if (!HandleControlFrame(c, frame_)) {
+        open = false;
+        break;
       }
     }
-    if (!open) break;
     c.off += consumed;
   }
-  if (open && c.stream_id >= 0) {
-    gateway_->Flush(static_cast<uint32_t>(c.stream_id));
-  }
-  if (open) CompactBuffer(c);
+  commit_frames();
+  if (open && c.stream != nullptr) gateway_->Flush(*c.stream);
+  if (c.off == c.end) c.off = c.end = 0;
   return open;
+}
+
+bool IngestServer::HandleControlFrame(Connection& c, const Frame& frame) {
+  switch (frame.type) {
+    case FrameType::kHello:
+      if (c.stream != nullptr) {
+        FailConnection(c, WireError::kProtocolViolation, "duplicate hello");
+        return false;
+      }
+      if (!gateway_->HasStream(frame.stream_id) &&
+          !(config_.on_unknown_stream != nullptr &&
+            config_.on_unknown_stream(frame.stream_id) &&
+            gateway_->HasStream(frame.stream_id))) {
+        // Either no dynamic-attach hook, or it declined, or it claimed
+        // success without registering the stream (a broken hook).
+        FailConnection(c, WireError::kUnknownStream, "unknown stream id");
+        return false;
+      }
+      c.stream = &gateway_->Resolve(frame.stream_id);
+      // HELLO_ACK tells the client where to (re)start: the next acceptable
+      // sequence number. On a fresh stream that is 1; on a reconnect (or
+      // after a checkpoint restore rewound the cursor) the client skips or
+      // replays accordingly.
+      send_scratch_.clear();
+      EncodeHelloAck(frame.stream_id,
+                     gateway_->last_seq_received(frame.stream_id) + 1,
+                     &send_scratch_);
+      if (!SendAll(c.fd, send_scratch_.data(), send_scratch_.size()).ok()) {
+        CloseConnection(c);
+        return false;
+      }
+      return true;
+    case FrameType::kBye:
+      if (c.stream != nullptr) {
+        const uint32_t stream = c.stream->id();
+        gateway_->Flush(*c.stream);
+        gateway_->MarkEndOfStream(stream);
+        if (config_.on_stream_end != nullptr) config_.on_stream_end(stream);
+      }
+      c.stream = nullptr;  // end-of-stream already recorded
+      CloseConnection(c);
+      return false;
+    case FrameType::kError:
+      // Clients may report errors before disconnecting; just close.
+      CloseConnection(c);
+      return false;
+    default:
+      return true;
+  }
 }
 
 void IngestServer::SendCheckpointAck(uint32_t stream_id, uint64_t epoch,
                                      uint64_t durable_seq) {
   for (Connection& c : conns_) {
-    if (c.fd < 0 || c.stream_id != static_cast<int64_t>(stream_id)) continue;
+    if (c.fd < 0 || c.stream == nullptr || c.stream->id() != stream_id) {
+      continue;
+    }
     send_scratch_.clear();
     EncodeCheckpointAck(epoch, durable_seq, &send_scratch_);
     // Best effort: a failed send just leaves the client's replay buffer
@@ -299,22 +322,10 @@ void IngestServer::FailConnection(Connection& c, WireError code,
 }
 
 void IngestServer::CloseConnection(Connection& c) {
-  if (c.stream_id >= 0) {
-    gateway_->Flush(static_cast<uint32_t>(c.stream_id));
-  }
+  if (c.stream != nullptr) gateway_->Flush(*c.stream);
   CloseFd(c.fd);
   c.fd = -1;
   gateway_->metrics().AddDisconnect();
-}
-
-void IngestServer::CompactBuffer(Connection& c) {
-  if (c.off == 0) return;
-  if (c.off == c.buf.size()) {
-    c.buf.clear();
-  } else {
-    c.buf.erase(c.buf.begin(), c.buf.begin() + static_cast<ptrdiff_t>(c.off));
-  }
-  c.off = 0;
 }
 
 }  // namespace klink

@@ -1,6 +1,8 @@
 #ifndef KLINK_NET_INGEST_SERVER_H_
 #define KLINK_NET_INGEST_SERVER_H_
 
+#include <poll.h>
+
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -87,10 +89,15 @@ class IngestServer {
  private:
   struct Connection {
     int fd = -1;
-    std::vector<uint8_t> buf;  // undecoded bytes (after compaction)
-    size_t off = 0;            // consumed prefix of buf
-    int64_t stream_id = -1;    // -1 until kHello binds one
-    bool paused = false;       // out of gateway credit
+    /// [off, end) holds undecoded bytes; reads land in [end, buf.size()).
+    /// The vector never shrinks, so reads land in room it already has.
+    std::vector<uint8_t> buf;
+    size_t off = 0;
+    size_t end = 0;
+    /// The bound stream's gateway handle, resolved once at kHello; null
+    /// until then.
+    IngestGateway::Stream* stream = nullptr;
+    bool paused = false;  // out of gateway credit
     int64_t last_activity_micros = 0;
   };
 
@@ -101,18 +108,26 @@ class IngestServer {
   /// Decodes buffered frames until exhausted, out of credit, or error.
   /// Returns false when the connection was closed.
   bool DecodeBuffered(Connection& c, int64_t* delivered);
+  /// Handles one control frame. Returns false when it closed the
+  /// connection.
+  bool HandleControlFrame(Connection& c, const Frame& frame);
   /// Sends a best-effort error frame and closes the connection.
   void FailConnection(Connection& c, WireError code, const std::string& msg);
   void CloseConnection(Connection& c);
-  void CompactBuffer(Connection& c);
+  /// Makes room for one read of config_.read_chunk_bytes at buf's tail.
+  void ReserveReadRoom(Connection& c);
 
   IngestServerConfig config_;
   IngestGateway* gateway_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::vector<Connection> conns_;
-  std::vector<uint8_t> read_scratch_;
   std::vector<uint8_t> send_scratch_;
+  Frame frame_;  // decode target, reused across frames
+  // PollOnce's per-call lists, kept to reuse their storage.
+  std::vector<pollfd> fds_;
+  std::vector<size_t> fd_conn_;  // fds_[i + 1] -> conns_[fd_conn_[i]]
+  std::vector<size_t> to_close_;
 };
 
 }  // namespace klink

@@ -112,6 +112,9 @@ enum class WireError : uint16_t {
 /// event's kind/swm fields are filled from the frame type), `stream_id` for
 /// kHello and kHelloAck, `next_seq` for kHelloAck, `epoch`/`durable_seq`
 /// for kCheckpointAck, and `error_code`/`error_message` for kError.
+/// Decoding a control frame zeroes the fields its type does not use;
+/// decoding an element frame writes only `type`, `seq` and `event`, so a
+/// reused Frame keeps stale values in the others.
 struct Frame {
   FrameType type = FrameType::kBye;
   uint32_t stream_id = 0;

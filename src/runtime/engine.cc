@@ -248,20 +248,33 @@ int64_t Engine::Ingest() {
     feed_scratch_.clear();
     lq.feed->PollUpTo(now_, budget, &feed_scratch_);
     if (feed_scratch_.empty()) continue;
+    // Partition the poll by source, keeping feed order, so each source
+    // queue takes one PushBatch (one accounting update, one memory-sink
+    // delta) per cycle and sees its elements in the same order as before.
     const auto& sources = lq.query->sources();
+    if (source_scratch_.size() < sources.size()) {
+      source_scratch_.resize(sources.size());
+    }
     int64_t data = 0;
     int64_t added_total = 0;
     for (const EventFeed::FeedElement& fe : feed_scratch_) {
       KLINK_CHECK(fe.source_index >= 0 &&
                   fe.source_index < static_cast<int>(sources.size()));
-      Event e = fe.event;
-      e.stream = 0;  // source operators are unary
-      sources[static_cast<size_t>(fe.source_index)]->input(0).Push(e);
-      const int64_t added = e.payload_bytes + StreamQueue::kPerEventOverhead;
-      budget -= added;
-      added_total += added;
-      if (e.is_data()) ++data;
+      std::vector<Event>& run =
+          source_scratch_[static_cast<size_t>(fe.source_index)];
+      run.push_back(fe.event);
+      run.back().stream = 0;  // source operators are unary
+      added_total += fe.event.payload_bytes + StreamQueue::kPerEventOverhead;
+      if (fe.event.is_data()) ++data;
     }
+    for (size_t i = 0; i < sources.size(); ++i) {
+      std::vector<Event>& run = source_scratch_[i];
+      if (run.empty()) continue;
+      sources[i]->input(0).PushBatch(run.data(),
+                                     static_cast<int64_t>(run.size()));
+      run.clear();
+    }
+    budget -= added_total;
     memory_usage_ += added_total;
     AccountedBytes(lq.id) += added_total;
     // Only source queues grew: the snapshot refreshes this entry from them.

@@ -210,6 +210,8 @@ class Engine {
   /// Accounted bytes of live query `id` (which must be accounted).
   int64_t& AccountedBytes(QueryId id);
   std::vector<EventFeed::FeedElement> feed_scratch_;
+  /// Ingest's per-source partition of feed_scratch_, indexed by source.
+  std::vector<std::vector<Event>> source_scratch_;
   Selection selection_scratch_;
   std::vector<ExecutorTask> tasks_scratch_;
   RuntimeSnapshot snapshot_scratch_;

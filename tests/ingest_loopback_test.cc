@@ -1,24 +1,36 @@
 // End-to-end tests of the TCP ingest path over real loopback sockets:
 //
-//  1. Equivalence: a YSB query fed over loadgen -> IngestServer ->
-//     NetworkFeed produces byte-identical results (count, order-sensitive
-//     hash, latencies) to the same query fed by the in-process
-//     SyntheticFeed — the wire protocol and gateway are transparent.
+//  1. Equivalence: a YSB query (one stream) and an LRB query (three
+//     streams, merged by NetworkFeed under an ingest byte budget that cuts
+//     polls mid-merge) fed over loadgen -> IngestServer -> NetworkFeed
+//     produce byte-identical results (count, order-sensitive hash,
+//     latencies) to the same query fed by the in-process SyntheticFeed —
+//     the wire protocol and gateway are transparent.
 //  2. Backpressure: a blasting client against an undrained gateway keeps
 //     the staging queue bounded by the stream's byte budget; nothing is
 //     lost once the consumer drains.
-//  3. Robustness: malformed frames, unknown streams, protocol violations
-//     and abrupt disconnects close the offending connection (with an error
-//     frame where possible) without disturbing the server.
+//  3. Fragmentation: one byte stream delivered whole and split at random
+//     points stages the same elements with the same cursors, metrics and
+//     stall count — the decode path is independent of read boundaries.
+//  4. Robustness: malformed frames, unknown streams, protocol violations,
+//     abrupt disconnects and idle peers close the offending connection
+//     (with an error frame where possible) without disturbing the server;
+//     a connection the server itself paused is not idle.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/harness/experiment.h"
 #include "src/net/delay_model.h"
 #include "src/net/ingest_gateway.h"
@@ -27,6 +39,7 @@
 #include "src/net/socket.h"
 #include "src/net/wire.h"
 #include "src/runtime/engine.h"
+#include "src/workloads/lrb.h"
 #include "src/workloads/ysb.h"
 
 namespace klink {
@@ -54,6 +67,22 @@ struct SinkSnapshot {
   int64_t swm_count = 0;
   double swm_mean = 0.0;
 };
+
+/// Pops `stream`'s staged elements, in order, through the feed's run path
+/// (IngestGateway::PopRun, which keeps the replay cursor). The first
+/// element is always taken, so a `max_bytes` of 1 pops exactly one.
+std::vector<Event> PopStaged(
+    IngestGateway& gateway, uint32_t stream,
+    int64_t max_bytes = std::numeric_limits<int64_t>::max()) {
+  std::vector<EventFeed::FeedElement> run;
+  int64_t delivered = 0;
+  gateway.PopRun(gateway.Resolve(stream),
+                 std::numeric_limits<TimeMicros>::max(), max_bytes,
+                 &delivered, /*source_index=*/0, &run);
+  std::vector<Event> events;
+  for (const EventFeed::FeedElement& fe : run) events.push_back(fe.event);
+  return events;
+}
 
 SinkSnapshot Snapshot(const Query& query) {
   const SinkOperator& sink = query.sink();
@@ -144,6 +173,130 @@ TEST(IngestLoopbackTest, TcpIngestMatchesInProcessResults) {
   EXPECT_EQ(gateway.metrics().malformed_frames(), 0);
 }
 
+/// Small enough that the engine's remaining buffer space cuts LRB polls
+/// (about 35 KB of arrivals per 120 ms cycle) while join and window state
+/// is held, yet large enough that every window still fires.
+constexpr int64_t kLrbMemoryBytes = 80 << 10;
+
+EngineConfig LrbEngineConfig() {
+  EngineConfig config = TestEngineConfig();
+  config.memory_capacity_bytes = kLrbMemoryBytes;
+  return config;
+}
+
+/// Counts NetworkFeed polls that the byte budget stopped while two or more
+/// of the feed's streams still had due elements: a cut in mid-merge.
+class MergeCutCounter final : public EventFeed {
+ public:
+  MergeCutCounter(std::unique_ptr<NetworkFeed> inner,
+                  const IngestGateway* gateway, std::vector<uint32_t> streams)
+      : inner_(std::move(inner)),
+        gateway_(gateway),
+        streams_(std::move(streams)) {}
+
+  void PollUpTo(TimeMicros now, int64_t max_bytes,
+                std::vector<FeedElement>* out) override {
+    inner_->PollUpTo(now, max_bytes, out);
+    int due = 0;
+    for (const uint32_t id : streams_) {
+      const TimeMicros t = gateway_->PeekIngestTime(id);
+      if (t != kNoTime && t <= now) ++due;
+    }
+    if (due >= 2) ++cuts_;
+  }
+  int64_t generated_events() const override {
+    return inner_->generated_events();
+  }
+  TimeMicros SafeThrough() const { return inner_->SafeThrough(); }
+  int64_t cuts() const { return cuts_; }
+
+ private:
+  std::unique_ptr<NetworkFeed> inner_;
+  const IngestGateway* gateway_;
+  std::vector<uint32_t> streams_;
+  int64_t cuts_ = 0;
+};
+
+TEST(IngestLoopbackTest, MultiStreamTcpIngestMatchesInProcessResults) {
+  // LRB's accident windows span 5 s, so results need a longer run.
+  constexpr TimeMicros kLrbDuration = SecondsToMicros(12);
+  const LrbConfig wc;
+  Engine reference(LrbEngineConfig(),
+                   MakePolicy(PolicyKind::kFcfs, KlinkPolicyConfig{}, kSeed));
+  const QueryId ref_id = reference.AddQuery(
+      MakeLrbQuery(0, wc),
+      MakeLrbFeed(wc, std::make_unique<ConstantDelay>(0), kSeed,
+                  /*start_time=*/0),
+      /*deploy_time=*/0);
+  reference.RunUntil(kLrbDuration);
+  const SinkSnapshot expected = Snapshot(reference.query(ref_id));
+  ASSERT_GT(expected.results, 0);
+  ASSERT_GT(expected.swm_count, 0);
+
+  // Networked run: one connection per LRB sub-stream, all three merged by
+  // one NetworkFeed.
+  Engine engine(LrbEngineConfig(),
+                MakePolicy(PolicyKind::kFcfs, KlinkPolicyConfig{}, kSeed));
+  IngestGateway gateway;
+  std::vector<uint32_t> streams;
+  for (int s = 0; s < 3; ++s) {
+    streams.push_back(MakeStreamId(0, s));
+    gateway.RegisterStream(streams.back(), IngestStreamConfig{});
+  }
+  auto feed = std::make_unique<MergeCutCounter>(
+      std::make_unique<NetworkFeed>(&gateway, streams), &gateway, streams);
+  MergeCutCounter* feed_ptr = feed.get();
+  const QueryId id =
+      engine.AddQuery(MakeLrbQuery(0, wc), std::move(feed), /*deploy_time=*/0);
+
+  IngestServer server(IngestServerConfig{}, &gateway);
+  ASSERT_TRUE(server.Start().ok());
+  const uint16_t port = server.port();
+  std::thread client([port, wc, kLrbDuration]() {
+    auto replay_feed = MakeLrbFeed(wc, std::make_unique<ConstantDelay>(0),
+                                   kSeed, /*start_time=*/0);
+    LoadgenConnection conns[3];
+    for (int s = 0; s < 3; ++s) {
+      ASSERT_TRUE(conns[s].Connect("127.0.0.1", port, MakeStreamId(0, s)).ok());
+    }
+    ReplayOptions opts;
+    opts.until = kLrbDuration;
+    opts.speed = 0.0;  // blast
+    ASSERT_TRUE(
+        ReplayFeed(*replay_feed, {&conns[0], &conns[1], &conns[2]}, opts)
+            .ok());
+  });
+
+  const DurationMicros cycle = engine.config().cycle_length;
+  while (engine.now() < kLrbDuration) {
+    const TimeMicros safe = feed_ptr->SafeThrough();
+    if (safe >= kLrbDuration) {
+      engine.RunUntil(kLrbDuration);
+    } else if (engine.now() + cycle <= safe) {
+      engine.RunUntil(engine.now() + cycle);
+    } else {
+      server.PollOnce(/*timeout_ms=*/10);
+    }
+  }
+  // The run can end once every stream is staged through its last element;
+  // keep serving until the client's byes close its connections.
+  while (server.num_connections() > 0) server.PollOnce(/*timeout_ms=*/10);
+  client.join();
+  server.Stop();
+
+  // The budget really did cut polls between streams.
+  EXPECT_GT(feed_ptr->cuts(), 0);
+  const SinkSnapshot got = Snapshot(engine.query(id));
+  EXPECT_EQ(got.results, expected.results);
+  EXPECT_EQ(got.hash, expected.hash);
+  EXPECT_EQ(got.last_result_time, expected.last_result_time);
+  EXPECT_EQ(got.swm_count, expected.swm_count);
+  EXPECT_DOUBLE_EQ(got.swm_mean, expected.swm_mean);
+  EXPECT_EQ(engine.metrics().ingested_events(),
+            reference.metrics().ingested_events());
+  EXPECT_EQ(gateway.metrics().malformed_frames(), 0);
+}
+
 TEST(IngestLoopbackTest, SlowConsumerStaysUnderByteBudget) {
   constexpr int64_t kBudget = 8192;
   constexpr int kEvents = 20000;
@@ -185,7 +338,7 @@ TEST(IngestLoopbackTest, SlowConsumerStaysUnderByteBudget) {
       server.PollOnce(/*timeout_ms=*/10);
       continue;
     }
-    const Event e = gateway.Pop(7);
+    const Event e = PopStaged(gateway, 7, /*max_bytes=*/1).front();
     if (e.is_data()) {
       ASSERT_EQ(e.event_time, popped);
       ++popped;
@@ -404,8 +557,10 @@ TEST(IngestLoopbackTest, DuplicateSequencesDroppedSilently) {
   EXPECT_EQ(gateway.duplicate_events(1), 3);
   EXPECT_EQ(gateway.last_seq_received(1), 7u);
   // Staged elements are the dedup'd contiguous stream, in order.
+  const std::vector<Event> staged = PopStaged(gateway, 1);
+  ASSERT_EQ(staged.size(), 7u);
   for (int i = 0; i < 7; ++i) {
-    const Event e = gateway.Pop(1);
+    const Event& e = staged[static_cast<size_t>(i)];
     ASSERT_TRUE(e.is_data());
     EXPECT_EQ(e.event_time, i);
   }
@@ -430,6 +585,195 @@ TEST(IngestLoopbackTest, IdleConnectionTimedOut) {
             static_cast<uint16_t>(WireError::kIdleTimeout));
   EXPECT_EQ(gateway.metrics().idle_timeouts(), 1);
   server.Stop();
+}
+
+TEST(IngestLoopbackTest, ResumedConnectionIsNotIdleTimedOut) {
+  // The server pauses a connection for lack of credit; reads stop, so the
+  // connection's last read ages past the idle timeout through no fault of
+  // the peer. Resuming must restart the idle clock instead of closing the
+  // connection on the very next poll.
+  IngestGateway gateway;
+  IngestStreamConfig sc;
+  sc.byte_budget = 8192;
+  gateway.RegisterStream(1, sc);
+  IngestServerConfig config;
+  config.idle_timeout_ms = 100;
+  IngestServer server(config, &gateway);
+  ASSERT_TRUE(server.Start().ok());
+
+  const int fd = MustConnect(server.port());
+  std::vector<uint8_t> bytes;
+  EncodeHello(1, &bytes);
+  for (int i = 0; i < 120; ++i) {
+    EncodeEvent(MakeDataEvent(i, i, 0, 1.0),
+                /*seq=*/static_cast<uint64_t>(i + 1), &bytes);
+  }
+  SendBytes(fd, bytes);
+  for (int i = 0;
+       i < 500 && gateway.metrics().stream(1).backpressure_stalls == 0; ++i) {
+    server.PollOnce(/*timeout_ms=*/2);
+  }
+  ASSERT_EQ(gateway.metrics().stream(1).backpressure_stalls, 1);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  PopStaged(gateway, 1);
+  ASSERT_EQ(gateway.staged_events(1), 0);
+  server.PollOnce(/*timeout_ms=*/0);
+
+  EXPECT_EQ(gateway.metrics().idle_timeouts(), 0);
+  EXPECT_EQ(server.num_connections(), 1);
+  EXPECT_EQ(gateway.last_seq_received(1), 120u);  // buffered frames resumed
+  CloseFd(fd);
+  server.Stop();
+}
+
+/// Everything one delivery of a byte stream left behind, drained in order.
+struct Delivery {
+  std::vector<Event> staged;
+  uint64_t last_seq = 0;
+  int64_t duplicates = 0;
+  IngestStreamMetrics metrics;
+  int64_t frames_decoded = 0;
+};
+
+/// Sends `bytes` as consecutive fragments of the given sizes, each only
+/// after the server has read everything before it, so every fragment
+/// boundary is a read boundary. The stream's budget is small, so the test
+/// drains staging after every stall: stalls then happen at the same
+/// elements however the bytes arrive.
+Delivery DeliverFragmented(const std::vector<uint8_t>& bytes,
+                           const std::vector<size_t>& fragments) {
+  constexpr uint32_t kStream = 3;
+  IngestGateway gateway;
+  IngestStreamConfig sc;
+  sc.byte_budget = 4096;
+  gateway.RegisterStream(kStream, sc);
+  IngestServer server(IngestServerConfig{}, &gateway);
+  EXPECT_TRUE(server.Start().ok());
+
+  std::atomic<int64_t> read_through{0};
+  std::atomic<bool> abort{false};
+  std::thread sender([&]() {
+    StatusOr<int> fd = ConnectTcp("127.0.0.1", server.port());
+    ASSERT_TRUE(fd.ok());
+    size_t sent = 0;
+    for (const size_t n : fragments) {
+      ASSERT_TRUE(SendAll(fd.value(), bytes.data() + sent, n).ok());
+      sent += n;
+      while (read_through.load() < static_cast<int64_t>(sent) &&
+             !abort.load()) {
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      }
+    }
+    CloseFd(fd.value());
+  });
+
+  Delivery d;
+  const auto drain = [&]() {
+    const std::vector<Event> run = PopStaged(gateway, kStream);
+    d.staged.insert(d.staged.end(), run.begin(), run.end());
+  };
+  int64_t stalls_drained = 0;
+  for (int i = 0; i < 20000 && !gateway.end_of_stream(kStream); ++i) {
+    server.PollOnce(/*timeout_ms=*/1);
+    read_through.store(gateway.metrics().bytes_read());
+    const int64_t stalls = gateway.metrics().stream(kStream).backpressure_stalls;
+    if (stalls > stalls_drained) {
+      drain();
+      stalls_drained = stalls;
+    }
+  }
+  EXPECT_TRUE(gateway.end_of_stream(kStream));
+  abort.store(true);
+  sender.join();
+  drain();
+  d.last_seq = gateway.last_seq_received(kStream);
+  d.duplicates = gateway.duplicate_events(kStream);
+  d.metrics = gateway.metrics().stream(kStream);
+  d.frames_decoded = gateway.metrics().frames_decoded();
+  EXPECT_EQ(gateway.delivered_seq(kStream), d.last_seq);
+  server.Stop();
+  return d;
+}
+
+TEST(IngestLoopbackTest, FragmentedDeliveryMatchesWholeDelivery) {
+  // Hello, 1500 mixed elements, a reconnect-style replay of the last 60,
+  // 900 fresh ones, bye: ~130 KB, so even the whole delivery spans several
+  // reads, and a 4 KB budget pauses decoding dozens of times mid-buffer.
+  Rng rng(7);
+  std::vector<Event> elements;
+  for (int i = 0; i < 2400; ++i) {
+    const TimeMicros t = i * 100;
+    const int64_t kind = rng.NextInt(0, 19);
+    if (kind == 0) {
+      Event wm = MakeWatermark(t - 50, t);
+      wm.swm = rng.NextInt(0, 1) == 1;
+      elements.push_back(wm);
+    } else if (kind == 1) {
+      elements.push_back(MakeLatencyMarker(t, t));
+    } else {
+      elements.push_back(MakeDataEvent(
+          t, t + rng.NextInt(0, 40), static_cast<uint64_t>(rng.NextInt(0, 99)),
+          rng.NextDouble(), static_cast<uint32_t>(rng.NextInt(16, 256))));
+    }
+  }
+  std::vector<uint8_t> bytes;
+  EncodeHello(3, &bytes);
+  for (size_t i = 0; i < 1500; ++i) {
+    EncodeEvent(elements[i], /*seq=*/i + 1, &bytes);
+  }
+  for (size_t i = 1440; i < elements.size(); ++i) {  // 60 duplicates first
+    EncodeEvent(elements[i], /*seq=*/i + 1, &bytes);
+  }
+  EncodeBye(&bytes);
+
+  const Delivery whole = DeliverFragmented(bytes, {bytes.size()});
+  ASSERT_EQ(whole.staged.size(), elements.size());
+  EXPECT_EQ(whole.last_seq, elements.size());
+  EXPECT_EQ(whole.duplicates, 60);
+  EXPECT_GT(whole.metrics.backpressure_stalls, 20);
+  EXPECT_EQ(whole.metrics.frames, static_cast<int64_t>(elements.size()));
+  for (size_t i = 0; i < elements.size(); ++i) {
+    const Event& e = whole.staged[i];
+    ASSERT_EQ(e.kind, elements[i].kind) << i;
+    ASSERT_EQ(e.event_time, elements[i].event_time) << i;
+    ASSERT_EQ(e.ingest_time, elements[i].ingest_time) << i;
+  }
+
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("fragmentation seed " + std::to_string(seed));
+    // Fragment sizes log-uniform in [1 B, 64 KB].
+    Rng cut_rng(seed);
+    std::vector<size_t> fragments;
+    size_t left = bytes.size();
+    while (left > 0) {
+      const double log_size = cut_rng.NextDouble() * std::log(65536.0);
+      const size_t n = std::min(
+          left, std::max<size_t>(1, static_cast<size_t>(std::exp(log_size))));
+      fragments.push_back(n);
+      left -= n;
+    }
+    const Delivery split = DeliverFragmented(bytes, fragments);
+    ASSERT_EQ(split.staged.size(), whole.staged.size());
+    for (size_t i = 0; i < whole.staged.size(); ++i) {
+      const Event& a = whole.staged[i];
+      const Event& b = split.staged[i];
+      ASSERT_TRUE(a.kind == b.kind && a.event_time == b.event_time &&
+                  a.ingest_time == b.ingest_time && a.key == b.key &&
+                  a.value == b.value && a.payload_bytes == b.payload_bytes &&
+                  a.swm == b.swm)
+          << "element " << i;
+    }
+    EXPECT_EQ(split.last_seq, whole.last_seq);
+    EXPECT_EQ(split.duplicates, whole.duplicates);
+    EXPECT_EQ(split.metrics.frames, whole.metrics.frames);
+    EXPECT_EQ(split.metrics.bytes, whole.metrics.bytes);
+    EXPECT_EQ(split.metrics.data_events, whole.metrics.data_events);
+    EXPECT_EQ(split.metrics.backpressure_stalls,
+              whole.metrics.backpressure_stalls);
+    EXPECT_EQ(split.metrics.peak_staged_bytes, whole.metrics.peak_staged_bytes);
+    EXPECT_EQ(split.frames_decoded, whole.frames_decoded);
+  }
 }
 
 }  // namespace

@@ -427,6 +427,7 @@ uint64_t RunGatewayDedup(uint64_t explorer_seed, ExecutorKind executor,
 
   IngestGateway gateway;
   gateway.RegisterStream(0, IngestStreamConfig{});
+  IngestGateway::Stream& stream = gateway.Resolve(0);
 
   EngineConfig config;
   config.num_cores = 2;
@@ -450,18 +451,18 @@ uint64_t RunGatewayDedup(uint64_t explorer_seed, ExecutorKind executor,
       const size_t window = std::min<size_t>(next, 7);
       for (size_t i = next - window; i < next; ++i) {
         // Duplicate: the frame is dropped before Deliver.
-        EXPECT_EQ(gateway.AcceptSeq(0, static_cast<uint64_t>(i) + 1),
+        EXPECT_EQ(gateway.AcceptSeq(stream, static_cast<uint64_t>(i) + 1),
                   IngestGateway::SeqDecision::kDuplicate)
             << "seq " << i + 1;
       }
     }
     while (next < events.size() && events[next].event.ingest_time <= t) {
-      EXPECT_EQ(gateway.AcceptSeq(0, static_cast<uint64_t>(next) + 1),
+      EXPECT_EQ(gateway.AcceptSeq(stream, static_cast<uint64_t>(next) + 1),
                 IngestGateway::SeqDecision::kAccept);
-      gateway.Deliver(0, events[next].event);
+      gateway.Deliver(stream, events[next].event);
       ++next;
     }
-    gateway.Flush(0);
+    gateway.Flush(stream);
     engine.RunUntil(t);
   }
   EXPECT_EQ(next, events.size());

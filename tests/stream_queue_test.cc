@@ -84,6 +84,21 @@ TEST(StreamQueueTest, FrontPeeksWithoutRemoving) {
   EXPECT_EQ(q.size(), 1);
 }
 
+TEST(StreamQueueTest, AtIndexesFromTheFrontAcrossChunks) {
+  StreamQueue q;
+  const int64_t n = 3 * StreamQueue::kChunkEvents;
+  for (int64_t i = 0; i < n; ++i) {
+    q.Push(MakeDataEvent(i, i, static_cast<uint64_t>(i), 0.0));
+  }
+  // Move the front into the middle of the first chunk, then index across
+  // both remaining chunk boundaries.
+  std::vector<Event> out(100);
+  q.PopBatch(out.data(), 100);
+  for (int64_t i = 0; i < q.size(); ++i) {
+    ASSERT_EQ(q.At(i).key, static_cast<uint64_t>(100 + i));
+  }
+}
+
 TEST(StreamQueueTest, ClearResetsEverything) {
   StreamQueue q;
   q.Push(MakeDataEvent(0, 0, 0, 0.0));
@@ -191,6 +206,26 @@ TEST(StreamQueueTest, PopBatchSpansChunkBoundary) {
   for (int64_t i = 0; i < n; ++i) {
     EXPECT_EQ(out[static_cast<size_t>(i)].key, static_cast<uint64_t>(i));
   }
+}
+
+TEST(StreamQueueTest, PopBatchIntoNullDropsWithAccounting) {
+  StreamQueue q;
+  const int64_t n = StreamQueue::kChunkEvents + 50;
+  for (int64_t i = 0; i < n; ++i) {
+    q.Push(i % 3 == 0 ? MakeWatermark(i, i)
+                      : MakeDataEvent(i, i, static_cast<uint64_t>(i), 0.0));
+  }
+  // Drop a run that crosses the first chunk boundary.
+  const int64_t dropped = StreamQueue::kChunkEvents + 10;
+  EXPECT_EQ(q.PopBatch(nullptr, dropped), dropped);
+  EXPECT_EQ(q.size(), n - dropped);
+  EXPECT_EQ(q.Front().event_time, dropped);
+  EXPECT_EQ(q.bytes(), q.AuditRecomputeBytes());
+  EXPECT_EQ(q.data_count(), q.AuditRecomputeDataCount());
+  EXPECT_EQ(q.PopBatch(nullptr, n), n - dropped);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.bytes(), 0);
+  EXPECT_EQ(q.data_count(), 0);
 }
 
 TEST(StreamQueueTest, InterleavedOpsKeepInvariants) {
