@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
-#include <unordered_set>
 #include <utility>
 
 #include "src/common/check.h"
@@ -225,7 +225,7 @@ void KlinkPolicy::MarkQueryHot(const QueryInfo& info) {
   }
   for (size_t l = 0; l < num_lanes; ++l) {
     c.lanes[l].hot = true;
-    hot_.insert(UnitKey(info.id, LaneAt(info, l).lane));
+    hot_.push_back(UnitKey(info.id, LaneAt(info, l).lane));
   }
   c.stream_keys.clear();
   c.stream_keys.reserve(info.streams.size());
@@ -258,8 +258,9 @@ void KlinkPolicy::RetireQueryState(QueryId id) {
     }
   }
   // All units of `id` form a contiguous range of the ordered hot set.
-  hot_.erase(hot_.lower_bound(UnitKey(id, -1)),
-             hot_.lower_bound(UnitKey(id + 1, -1)));
+  const auto first =
+      std::lower_bound(hot_.begin(), hot_.end(), UnitKey(id, -1));
+  hot_.erase(first, std::lower_bound(first, hot_.end(), UnitKey(id + 1, -1)));
 }
 
 void KlinkPolicy::EraseEstimatorsByQuery(QueryId id) {
@@ -303,10 +304,14 @@ void KlinkPolicy::SelectIncremental(const RuntimeSnapshot& snapshot,
   const TimeMicros now = snapshot.now;
   const double now_d = static_cast<double>(now);
 
+  ++select_cycle_;
+
   // Lazy deletion leaves stale entries behind; rebuild when they dominate.
   const size_t heap_cap = 4 * cache_lanes_ + 64;
+  size_t sorted_units = hot_.size();
   if (rebuild_ || const_heap_.size() + linear_heap_.size() > heap_cap) {
     RebuildIncrementalState(snapshot);
+    sorted_units = 0;
   } else {
     for (QueryId id : snapshot.touched) {
       const QueryInfo* info = snapshot.Find(id);
@@ -314,12 +319,23 @@ void KlinkPolicy::SelectIncremental(const RuntimeSnapshot& snapshot,
       MarkQueryHot(*info);
     }
   }
+  // hot_ is last cycle's sorted set followed by this cycle's touched
+  // units: sort the tail, merge, and drop duplicates.
+  const auto tail = hot_.begin() + static_cast<std::ptrdiff_t>(sorted_units);
+  std::sort(tail, hot_.end());
+  hot_merge_.clear();
+  std::merge(hot_.begin(), tail, tail, hot_.end(),
+             std::back_inserter(hot_merge_));
+  hot_merge_.erase(std::unique(hot_merge_.begin(), hot_merge_.end()),
+                   hot_merge_.end());
+  hot_.swap(hot_merge_);
 
   // Re-evaluate the hot set exactly. Units whose streams are all
   // constant/linear go cold: their bounds are pushed into the heaps and
-  // they are not visited again until touched.
-  for (auto it = hot_.begin(); it != hot_.end();) {
-    const int64_t unit = *it;
+  // they are not visited again until touched. Hot units are compacted to
+  // the front in order.
+  size_t kept = 0;
+  for (const int64_t unit : hot_) {
     const QueryInfo* info = snapshot.Find(UnitQuery(unit));
     KLINK_CHECK(info != nullptr);  // hot units are always live
     CacheEntry& c = cache_.at(UnitQuery(unit));
@@ -331,7 +347,7 @@ void KlinkPolicy::SelectIncremental(const RuntimeSnapshot& snapshot,
     lc.ready = LaneAt(*info, li).queued_events > 0;
     if (cls.has_nonlinear) {
       lc.hot = true;
-      ++it;
+      hot_[kept++] = unit;
       continue;
     }
     lc.hot = false;
@@ -343,8 +359,8 @@ void KlinkPolicy::SelectIncremental(const RuntimeSnapshot& snapshot,
         linear_heap_.Push({cls.linear_min, unit, c.version});
       }
     }
-    it = hot_.erase(it);
   }
+  hot_.resize(kept);
 
   // Modeled evaluator cost (Fig. 9d): the paper's evaluator walks every
   // query each cycle, so the virtual cost keeps charging the full count —
@@ -357,15 +373,15 @@ void KlinkPolicy::SelectIncremental(const RuntimeSnapshot& snapshot,
   const size_t want =
       static_cast<size_t>(std::max(slots, 0));
   if (want > 0) {
-    // `best` is the current top-k as (slack, unit), ascending — the same
+    // `best_` is the current top-k as (slack, unit), ascending — the same
     // total order as the full scan's comparator.
-    std::vector<std::pair<double, int64_t>> best;
-    const auto consider = [&best, want](double slack, int64_t unit) {
+    best_.clear();
+    const auto consider = [this, want](double slack, int64_t unit) {
       const std::pair<double, int64_t> cand{slack, unit};
-      const auto pos = std::lower_bound(best.begin(), best.end(), cand);
-      if (pos == best.end() && best.size() >= want) return;
-      best.insert(pos, cand);
-      if (best.size() > want) best.pop_back();
+      const auto pos = std::lower_bound(best_.begin(), best_.end(), cand);
+      if (pos == best_.end() && best_.size() >= want) return;
+      best_.insert(pos, cand);
+      if (best_.size() > want) best_.pop_back();
     };
     for (int64_t unit : hot_) {
       const CacheEntry& c = cache_.at(UnitQuery(unit));
@@ -379,8 +395,8 @@ void KlinkPolicy::SelectIncremental(const RuntimeSnapshot& snapshot,
     // estimator Observe is a no-op); popping stops once the heap bound
     // proves no remaining entry can displace the current kth best.
     const double margin = SlackBoundMargin(now_d);
-    std::vector<DeadlineIndex::Entry> repush_const, repush_linear;
-    std::unordered_set<int64_t> seen;
+    repush_const_.clear();
+    repush_linear_.clear();
     const auto valid = [this](const DeadlineIndex::Entry& e) {
       const auto it = cache_.find(UnitQuery(e.id));
       if (it == cache_.end() || it->second.version != e.version) return false;
@@ -399,14 +415,17 @@ void KlinkPolicy::SelectIncremental(const RuntimeSnapshot& snapshot,
           linear_heap_.empty() ? kInf : linear_heap_.Top().key - now_d;
       const double bound = std::min(b0, b1);
       if (bound == kInf) break;
-      if (best.size() >= want && bound > best.back().first + margin) break;
+      if (best_.size() >= want && bound > best_.back().first + margin) break;
       DeadlineIndex* heap = b0 <= b1 ? &const_heap_ : &linear_heap_;
       std::vector<DeadlineIndex::Entry>& repush =
-          b0 <= b1 ? repush_const : repush_linear;
+          b0 <= b1 ? repush_const_ : repush_linear_;
       const DeadlineIndex::Entry entry = heap->Top();
       heap->Pop();
       repush.push_back(entry);  // entries survive across cycles
-      if (!seen.insert(entry.id).second) continue;  // other heap's twin
+      LaneCache& lc = cache_.at(UnitQuery(entry.id))
+                          .lanes[LaneIndexOf(UnitLane(entry.id))];
+      if (lc.popped_cycle == select_cycle_) continue;  // other heap's twin
+      lc.popped_cycle = select_cycle_;
       const QueryInfo* info = snapshot.Find(UnitQuery(entry.id));
       KLINK_CHECK(info != nullptr);
       const double slack =
@@ -414,11 +433,11 @@ void KlinkPolicy::SelectIncremental(const RuntimeSnapshot& snapshot,
       last_slack_[entry.id] = slack;
       consider(slack, entry.id);
     }
-    for (const DeadlineIndex::Entry& e : repush_const) const_heap_.Push(e);
-    for (const DeadlineIndex::Entry& e : repush_linear) {
+    for (const DeadlineIndex::Entry& e : repush_const_) const_heap_.Push(e);
+    for (const DeadlineIndex::Entry& e : repush_linear_) {
       linear_heap_.Push(e);
     }
-    for (const auto& [slack, unit] : best) {
+    for (const auto& [slack, unit] : best_) {
       out->AddLane(UnitQuery(unit), UnitLane(unit));
     }
   }

@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/klink/swm_estimator.h"
@@ -140,6 +140,9 @@ class KlinkPolicy final : public SchedulingPolicy {
     bool hot = true;
     /// Valid while cold (readiness cannot change without a touch).
     bool ready = false;
+    /// The select_cycle_ in which a heap pop last re-evaluated the lane:
+    /// its twin entry in the other heap is then skipped.
+    uint64_t popped_cycle = 0;
   };
 
   /// Incremental-index bookkeeping for one live query. A touch re-heats
@@ -170,7 +173,8 @@ class KlinkPolicy final : public SchedulingPolicy {
   double EvaluateUnitSlack(const QueryInfo& info, size_t lane_idx,
                            TimeMicros now, SlackClasses* cls = nullptr);
   /// Marks every lane of `id` hot and refreshes its cached stream keys;
-  /// `info` must be the query's live snapshot entry.
+  /// `info` must be the query's live snapshot entry. Appends to hot_;
+  /// SelectIncremental restores its order.
   void MarkQueryHot(const QueryInfo& info);
 
   void UpdateMemoryMode(const RuntimeSnapshot& snapshot);
@@ -212,8 +216,21 @@ class KlinkPolicy final : public SchedulingPolicy {
   std::unordered_map<QueryId, CacheEntry> cache_;
   /// Total lanes across cache_ entries (sizes the lazy-deletion cap).
   size_t cache_lanes_ = 0;
-  /// Units re-evaluated exactly every cycle (ordered for determinism).
-  std::set<int64_t> hot_;
+  /// Units re-evaluated exactly every cycle, ascending and unique outside
+  /// SelectIncremental (ordered for determinism). A flat vector: the set
+  /// is rebuilt in bulk each cycle (append the touched units, sort and
+  /// dedupe, compact out the ones that went cold), so tree nodes would be
+  /// allocated and freed per touch.
+  std::vector<int64_t> hot_;
+  /// Merge target for hot_ (swapped with it each cycle).
+  std::vector<int64_t> hot_merge_;
+  /// SelectIncremental scratch, reused across cycles: the top-k as
+  /// (slack, unit) ascending, and the heap entries popped this cycle.
+  std::vector<std::pair<double, int64_t>> best_;
+  std::vector<DeadlineIndex::Entry> repush_const_;
+  std::vector<DeadlineIndex::Entry> repush_linear_;
+  /// Counts SelectIncremental calls (LaneCache::popped_cycle).
+  uint64_t select_cycle_ = 0;
   /// Ready cold units by constant slack (key = slack).
   DeadlineIndex const_heap_;
   /// Ready cold units by linear base (key - now = slack).

@@ -13,28 +13,28 @@ constexpr size_t kHelloPayloadLen = 4;
 constexpr size_t kHelloAckPayloadLen = 12;
 constexpr size_t kCheckpointAckPayloadLen = 16;
 
-void PutU16(uint16_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v & 0xff));
-  out->push_back(static_cast<uint8_t>(v >> 8));
+// The wire is little-endian. Fields are stored and assembled byte by byte,
+// which is portable and which gcc -O2 folds into a single unaligned store
+// or load on little-endian hosts. `inline` lets -O2 inline them into the
+// codec; it sizes them before that folding and would otherwise keep them
+// as calls.
+inline void StoreU16(uint8_t* p, uint16_t v) {
+  p[0] = static_cast<uint8_t>(v);
+  p[1] = static_cast<uint8_t>(v >> 8);
 }
 
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+inline void StoreU32(uint8_t* p, uint32_t v) {
+  p[0] = static_cast<uint8_t>(v);
+  p[1] = static_cast<uint8_t>(v >> 8);
+  p[2] = static_cast<uint8_t>(v >> 16);
+  p[3] = static_cast<uint8_t>(v >> 24);
 }
 
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+inline void StoreU64(uint8_t* p, uint64_t v) {
+  StoreU32(p, static_cast<uint32_t>(v));
+  StoreU32(p + 4, static_cast<uint32_t>(v >> 32));
 }
 
-// The wire is little-endian. Fields are assembled byte by byte in one
-// expression, which is portable and which gcc -O2 folds into a single
-// unaligned load on little-endian hosts. `inline` lets -O2 inline them
-// into DecodeFrame; it sizes them before that folding and would
-// otherwise keep them as calls.
 inline uint16_t GetU16(const uint8_t* p) {
   return static_cast<uint16_t>(p[0] | (static_cast<uint16_t>(p[1]) << 8));
 }
@@ -49,12 +49,18 @@ inline uint64_t GetU64(const uint8_t* p) {
          static_cast<uint64_t>(GetU32(p + 4)) << 32;
 }
 
-void PutHeader(FrameType type, uint32_t payload_len,
-               std::vector<uint8_t>* out) {
-  PutU16(kWireMagic, out);
-  out->push_back(kWireVersion);
-  out->push_back(static_cast<uint8_t>(type));
-  PutU32(payload_len, out);
+/// Appends a whole frame to `out` with one resize, writes its header and
+/// returns where its payload starts; the caller stores every payload byte.
+uint8_t* PutFrame(FrameType type, uint32_t payload_len,
+                  std::vector<uint8_t>* out) {
+  const size_t at = out->size();
+  out->resize(at + kWireHeaderLen + payload_len);
+  uint8_t* p = out->data() + at;
+  StoreU16(p, kWireMagic);
+  p[2] = kWireVersion;
+  p[3] = static_cast<uint8_t>(type);
+  StoreU32(p + 4, payload_len);
+  return p + kWireHeaderLen;
 }
 
 bool ValidType(uint8_t t) {
@@ -218,38 +224,38 @@ DecodeResult DecodeFrame(const uint8_t* data, size_t len, Frame* frame,
 }
 
 void EncodeHello(uint32_t stream_id, std::vector<uint8_t>* out) {
-  PutHeader(FrameType::kHello, kHelloPayloadLen, out);
-  PutU32(stream_id, out);
+  StoreU32(PutFrame(FrameType::kHello, kHelloPayloadLen, out), stream_id);
 }
 
 void EncodeEvent(const Event& e, uint64_t seq, std::vector<uint8_t>* out) {
+  uint8_t* p = nullptr;
   switch (e.kind) {
     case EventKind::kData:
     case EventKind::kRetraction:
     case EventKind::kUpdate:
-      PutHeader(e.kind == EventKind::kData        ? FrameType::kData
-                : e.kind == EventKind::kRetraction ? FrameType::kRetraction
-                                                   : FrameType::kUpdate,
-                kDataPayloadLen, out);
-      PutU64(seq, out);
-      PutU64(static_cast<uint64_t>(e.event_time), out);
-      PutU64(static_cast<uint64_t>(e.ingest_time), out);
-      PutU64(e.key, out);
-      PutU64(DoubleToBits(e.value), out);
-      PutU32(e.payload_bytes, out);
+      p = PutFrame(e.kind == EventKind::kData         ? FrameType::kData
+                   : e.kind == EventKind::kRetraction ? FrameType::kRetraction
+                                                      : FrameType::kUpdate,
+                   kDataPayloadLen, out);
+      StoreU64(p, seq);
+      StoreU64(p + 8, static_cast<uint64_t>(e.event_time));
+      StoreU64(p + 16, static_cast<uint64_t>(e.ingest_time));
+      StoreU64(p + 24, e.key);
+      StoreU64(p + 32, DoubleToBits(e.value));
+      StoreU32(p + 40, e.payload_bytes);
       break;
     case EventKind::kWatermark:
-      PutHeader(FrameType::kWatermark, kWatermarkPayloadLen, out);
-      PutU64(seq, out);
-      PutU64(static_cast<uint64_t>(e.event_time), out);
-      PutU64(static_cast<uint64_t>(e.ingest_time), out);
-      out->push_back(e.swm ? 1 : 0);
+      p = PutFrame(FrameType::kWatermark, kWatermarkPayloadLen, out);
+      StoreU64(p, seq);
+      StoreU64(p + 8, static_cast<uint64_t>(e.event_time));
+      StoreU64(p + 16, static_cast<uint64_t>(e.ingest_time));
+      p[24] = e.swm ? 1 : 0;
       break;
     case EventKind::kLatencyMarker:
-      PutHeader(FrameType::kMarker, kMarkerPayloadLen, out);
-      PutU64(seq, out);
-      PutU64(static_cast<uint64_t>(e.event_time), out);
-      PutU64(static_cast<uint64_t>(e.ingest_time), out);
+      p = PutFrame(FrameType::kMarker, kMarkerPayloadLen, out);
+      StoreU64(p, seq);
+      StoreU64(p + 8, static_cast<uint64_t>(e.event_time));
+      StoreU64(p + 16, static_cast<uint64_t>(e.ingest_time));
       break;
     case EventKind::kCheckpointBarrier:
       // Barriers are injected by the server-side coordinator; they never
@@ -261,28 +267,29 @@ void EncodeEvent(const Event& e, uint64_t seq, std::vector<uint8_t>* out) {
 void EncodeError(WireError code, const std::string& message,
                  std::vector<uint8_t>* out) {
   const size_t msg_len = std::min(message.size(), kMaxErrorMessageLen);
-  PutHeader(FrameType::kError, static_cast<uint32_t>(2 + msg_len), out);
-  PutU16(static_cast<uint16_t>(code), out);
-  out->insert(out->end(), message.begin(),
-              message.begin() + static_cast<ptrdiff_t>(msg_len));
+  uint8_t* p =
+      PutFrame(FrameType::kError, static_cast<uint32_t>(2 + msg_len), out);
+  StoreU16(p, static_cast<uint16_t>(code));
+  std::memcpy(p + 2, message.data(), msg_len);
 }
 
 void EncodeBye(std::vector<uint8_t>* out) {
-  PutHeader(FrameType::kBye, 0, out);
+  PutFrame(FrameType::kBye, 0, out);
 }
 
 void EncodeHelloAck(uint32_t stream_id, uint64_t next_seq,
                     std::vector<uint8_t>* out) {
-  PutHeader(FrameType::kHelloAck, kHelloAckPayloadLen, out);
-  PutU32(stream_id, out);
-  PutU64(next_seq, out);
+  uint8_t* p = PutFrame(FrameType::kHelloAck, kHelloAckPayloadLen, out);
+  StoreU32(p, stream_id);
+  StoreU64(p + 4, next_seq);
 }
 
 void EncodeCheckpointAck(uint64_t epoch, uint64_t durable_seq,
                          std::vector<uint8_t>* out) {
-  PutHeader(FrameType::kCheckpointAck, kCheckpointAckPayloadLen, out);
-  PutU64(epoch, out);
-  PutU64(durable_seq, out);
+  uint8_t* p =
+      PutFrame(FrameType::kCheckpointAck, kCheckpointAckPayloadLen, out);
+  StoreU64(p, epoch);
+  StoreU64(p + 8, durable_seq);
 }
 
 size_t EncodedEventSize(const Event& e) {

@@ -98,15 +98,14 @@ void WindowAggregateOperator::FoldData(const Event& e) {
     }
     auto [pane_it, pane_inserted] = panes_.try_emplace({w.end, w.start});
     if (pane_inserted) AddStateBytes(kBytesPerPane);
-    auto [it, inserted] = pane_it->second.try_emplace(e.key);
+    const auto [agg, inserted] = pane_it->second.TryEmplace(e.key);
     if (inserted) {
       ++total_key_states_;
       AddStateBytes(kBytesPerKeyState);
     }
-    Aggregate& agg = it->second;
-    ++agg.count;
-    agg.sum += e.value;
-    agg.max = agg.count == 1 ? e.value : std::max(agg.max, e.value);
+    ++agg->count;
+    agg->sum += e.value;
+    agg->max = agg->count == 1 ? e.value : std::max(agg->max, e.value);
     if (late) accepted_late = true;  // below-watermark pane still open
   }
   if (late) {
@@ -126,21 +125,7 @@ void WindowAggregateOperator::OnData(const Event& e, TimeMicros /*now*/,
 
 void WindowAggregateOperator::ProcessBatch(const Event* events, int64_t n,
                                            BatchClock& clock, Emitter& out) {
-  int64_t i = 0;
-  while (i < n) {
-    if (!events[i].is_data()) {
-      Process(events[i], clock.Next(), out);
-      ++i;
-      continue;
-    }
-    int64_t j = i + 1;
-    while (j < n && events[j].is_data()) ++j;
-    const int64_t run = j - i;
-    clock.Advance(run);
-    NoteDataProcessed(run);
-    for (int64_t k = i; k < j; ++k) FoldData(events[k]);
-    i = j;
-  }
+  FoldDataRuns(events, n, clock, out, [this](const Event& e) { FoldData(e); });
 }
 
 void WindowAggregateOperator::FlushRefires(TimeMicros now, Emitter& out) {
@@ -215,12 +200,12 @@ void WindowAggregateOperator::OnWatermark(const Event& incoming,
     const auto it = panes_.begin();
     const TimeMicros end = it->first.first;
     // Emit in sorted-key order: a deterministic order that survives
-    // checkpoint/restore, unlike the hash map's iteration order.
+    // checkpoint/restore, unlike the pane's insertion order.
     scratch_keys_.clear();
-    for (const auto& [key, agg] : it->second) scratch_keys_.push_back(key);
+    it->second.AppendKeys(&scratch_keys_);
     std::sort(scratch_keys_.begin(), scratch_keys_.end());
     for (const uint64_t key : scratch_keys_) {
-      const Aggregate& agg = it->second.find(key)->second;
+      const Aggregate& agg = *it->second.Find(key);
       Event result = MakeDataEvent(/*event_time=*/end, /*ingest_time=*/now,
                                    key, OutputValue(agg),
                                    output_payload_bytes_);
@@ -336,9 +321,8 @@ void WindowAggregateOperator::ImportKeyedState(const KeyedStateEntry& entry) {
     KLINK_CHECK(r.ok());
     auto [pane_it, pane_inserted] = panes_.try_emplace({end, start});
     if (pane_inserted) AddStateBytes(kBytesPerPane);
-    const auto [it, inserted] = pane_it->second.emplace(entry.key, agg);
-    (void)it;
-    KLINK_CHECK(inserted);  // each (pane, key) comes from exactly one shard
+    // Each (pane, key) comes from exactly one shard.
+    KLINK_CHECK(pane_it->second.Insert(entry.key, agg));
     ++total_key_states_;
     AddStateBytes(kBytesPerKeyState);
   }
@@ -376,10 +360,10 @@ void WindowAggregateOperator::SerializeState(StateWriter& w) const {
     w.PutU64(static_cast<uint64_t>(pane.size()));
     std::vector<uint64_t> keys;
     keys.reserve(pane.size());
-    for (const auto& [key, agg] : pane) keys.push_back(key);
+    pane.AppendKeys(&keys);
     std::sort(keys.begin(), keys.end());
     for (const uint64_t key : keys) {
-      const Aggregate& agg = pane.find(key)->second;
+      const Aggregate& agg = *pane.Find(key);
       w.PutU64(key);
       w.PutI64(agg.count);
       w.PutDouble(agg.sum);
@@ -430,14 +414,14 @@ void WindowAggregateOperator::RestoreState(StateReader& r) {
     KLINK_CHECK(r.ok());
     Pane& pane = panes_[{end, start}];
     AddStateBytes(kBytesPerPane);
-    pane.reserve(static_cast<size_t>(num_keys));
+    pane.Reserve(static_cast<size_t>(num_keys));
     for (uint64_t k = 0; k < num_keys; ++k) {
       const uint64_t key = r.GetU64();
       Aggregate agg;
       agg.count = r.GetI64();
       agg.sum = r.GetDouble();
       agg.max = r.GetDouble();
-      pane.emplace(key, agg);
+      pane.Insert(key, agg);
       ++total_key_states_;
       AddStateBytes(kBytesPerKeyState);
     }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/operators/operator.h"
+#include "src/window/flat_key_map.h"
 #include "src/window/lateness.h"
 #include "src/window/swm_tracker.h"
 #include "src/window/window_assigner.h"
@@ -104,7 +105,7 @@ class WindowAggregateOperator final : public Operator {
   };
   // Panes keyed by (end, start) so iteration order is deadline order.
   using PaneKey = std::pair<TimeMicros, TimeMicros>;
-  using Pane = std::unordered_map<uint64_t, Aggregate>;
+  using Pane = FlatKeyMap<Aggregate>;
 
   /// A speculatively fired pane's per-key state: the live aggregate plus
   /// the last emitted result, which the next refire must retract.
@@ -143,9 +144,9 @@ class WindowAggregateOperator final : public Operator {
   int64_t fired_panes_ = 0;
   int64_t dropped_late_ = 0;
   std::vector<WindowSpan> scratch_windows_;
-  /// Scratch for firing panes in sorted-key order: hash-map iteration
-  /// order is an implementation detail that would diverge between an
-  /// uninterrupted run and a checkpoint-restored one.
+  /// Scratch for firing panes in sorted-key order: a pane's insertion
+  /// order would diverge between an uninterrupted run and a
+  /// checkpoint-restored one.
   std::vector<uint64_t> scratch_keys_;
 };
 

@@ -4,11 +4,11 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/operators/operator.h"
+#include "src/window/flat_key_map.h"
 #include "src/window/swm_tracker.h"
 #include "src/window/window_assigner.h"
 
@@ -38,6 +38,12 @@ class WindowJoinOperator final : public Operator {
   TimeMicros UpcomingDeadline() const override;
   const SwmTracker* swm_tracker() const override { return &tracker_; }
   DurationMicros DeadlinePeriod() const override { return assigner_->slide(); }
+
+  /// Batch fast path: folds runs of data elements into pane state without
+  /// the per-element dispatch (data events neither read the clock nor
+  /// emit, so only the fold itself remains).
+  void ProcessBatch(const Event* events, int64_t n, BatchClock& clock,
+                    Emitter& out) override;
 
   /// ---- introspection -------------------------------------------------
   const WindowAssigner& assigner() const { return *assigner_; }
@@ -71,9 +77,11 @@ class WindowJoinOperator final : public Operator {
   using PaneKey = std::pair<TimeMicros, TimeMicros>;  // (end, start)
   struct Pane {
     /// per_stream[s][key] -> aggregate of stream s contributions.
-    std::vector<std::unordered_map<uint64_t, Aggregate>> per_stream;
+    std::vector<FlatKeyMap<Aggregate>> per_stream;
   };
 
+  /// Folds one data element into pane state (the OnData body).
+  void FoldData(const Event& e);
   void FirePane(const PaneKey& pane_key, Pane& pane, TimeMicros now,
                 Emitter& out);
 

@@ -299,6 +299,30 @@ class Operator {
   /// (bypassing Process) must call it once per data element processed.
   void NoteDataProcessed(int64_t n) { processed_data_ += n; }
 
+  /// ProcessBatch body for operators whose data elements neither read the
+  /// clock nor emit (window state folds): each run of data elements
+  /// advances the clock and the processed counter once and goes to
+  /// `fold(event)` element by element; every other element goes through
+  /// Process.
+  template <typename Fold>
+  void FoldDataRuns(const Event* events, int64_t n, BatchClock& clock,
+                    Emitter& out, Fold&& fold) {
+    int64_t i = 0;
+    while (i < n) {
+      if (!events[i].is_data()) {
+        Process(events[i], clock.Next(), out);
+        ++i;
+        continue;
+      }
+      int64_t j = i + 1;
+      while (j < n && events[j].is_data()) ++j;
+      clock.Advance(j - i);
+      NoteDataProcessed(j - i);
+      for (int64_t k = i; k < j; ++k) fold(events[k]);
+      i = j;
+    }
+  }
+
   /// Reports a change in operator-held state bytes. The only way state
   /// enters the memory accounting: StateBytes() and the query-level
   /// counter both derive from these deltas.

@@ -88,40 +88,101 @@ double ExecutionContext::RunQuery(Query& query, int lane) {
           progressed = true;
         }
       } else {
-        // Multi-input operators (joins) interleave their inputs by
-        // earliest ingest time; that per-element scan keeps the scalar
-        // loop, with outputs still buffered and flushed as one run.
-        while (consumed + cost <= budget_micros_) {
-          // Checkpoint barrier alignment (Flink-style): an input whose
-          // barrier already arrived for an epoch the others have not
-          // reached is blocked — its post-barrier elements must not enter
-          // operator state before the snapshot is taken at alignment.
-          uint64_t min_epoch = op.last_barrier_epoch(0);
-          for (int s = 1; s < op.num_inputs(); ++s) {
-            min_epoch = std::min(min_epoch, op.last_barrier_epoch(s));
+        // Multi-input operators (joins) take their inputs in earliest-
+        // ingest order, the lower stream index first on ties. A batch is
+        // that merge, gathered run by run: an input keeps the turn while
+        // its next element precedes the runner-up's front (or ties it with
+        // the lower index). Processing never touches the operator's own
+        // inputs, so the merge can be read ahead of processing; only a
+        // barrier changes which inputs are blocked, so a batch ends after
+        // one (and at kMaxBatch, or where the replayed budget stops). The
+        // batch is read in place and each input's share is then dropped
+        // with one PopBatch.
+        const int num_inputs = op.num_inputs();
+        inputs_.resize(static_cast<size_t>(num_inputs));
+        taken_.resize(static_cast<size_t>(num_inputs));
+        bool barrier = true;  // inputs not resolved yet
+        while (true) {
+          if (barrier) {
+            // Checkpoint barrier alignment (Flink-style): an input whose
+            // barrier already arrived for an epoch the others have not
+            // reached is blocked — its post-barrier elements must not
+            // enter operator state before the snapshot is taken at
+            // alignment. Inputs are resolved, blocked ones as null, once
+            // per visit and again after each barrier.
+            uint64_t min_epoch = op.last_barrier_epoch(0);
+            for (int s = 1; s < num_inputs; ++s) {
+              min_epoch = std::min(min_epoch, op.last_barrier_epoch(s));
+            }
+            for (int s = 0; s < num_inputs; ++s) {
+              inputs_[static_cast<size_t>(s)] =
+                  op.last_barrier_epoch(s) > min_epoch ? nullptr
+                                                       : &op.input(s);
+            }
+            barrier = false;
           }
-          int best = -1;
-          TimeMicros best_time = 0;
-          for (int s = 0; s < op.num_inputs(); ++s) {
-            if (op.input(s).empty()) continue;
-            if (op.last_barrier_epoch(s) > min_epoch) continue;  // blocked
-            const TimeMicros t = op.input(s).Front().ingest_time;
-            if (best == -1 || t < best_time) {
-              best = s;
-              best_time = t;
+          std::fill(taken_.begin(), taken_.end(), 0);
+          int64_t n = 0;
+          double replay = consumed;
+          bool full = false;  // batch cap or budget reached
+          while (!full && !barrier) {
+            // The earliest unread front (`best`) and the runner-up.
+            int best = -1;
+            int second = -1;
+            TimeMicros best_time = 0;
+            TimeMicros second_time = 0;
+            for (int s = 0; s < num_inputs; ++s) {
+              const StreamQueue* in = inputs_[static_cast<size_t>(s)];
+              const int64_t next = taken_[static_cast<size_t>(s)];
+              if (in == nullptr || next == in->size()) continue;
+              const TimeMicros t = in->At(next).ingest_time;
+              if (best == -1 || t < best_time) {
+                second = best;
+                second_time = best_time;
+                best = s;
+                best_time = t;
+              } else if (second == -1 || t < second_time) {
+                second = s;
+                second_time = t;
+              }
+            }
+            if (best == -1) break;
+            const StreamQueue& in = *inputs_[static_cast<size_t>(best)];
+            int64_t& next = taken_[static_cast<size_t>(best)];
+            while (next < in.size()) {
+              const Event& e = in.At(next);
+              if (second != -1 && (e.ingest_time > second_time ||
+                                   (e.ingest_time == second_time &&
+                                    second < best))) {
+                break;
+              }
+              if (n == kMaxBatch || replay + cost > budget_micros_) {
+                full = true;
+                break;
+              }
+              replay += cost;
+              batch_[static_cast<size_t>(n)] = e;
+              batch_[static_cast<size_t>(n)].stream = best;
+              ++n;
+              ++next;
+              if (e.kind == EventKind::kCheckpointBarrier) {
+                barrier = true;
+                break;
+              }
             }
           }
-          if (best == -1) break;
-          Event e = op.input(best).Pop();
-          e.stream = best;
-          consumed += cost;
-          const TimeMicros now =
-              cycle_start_ + static_cast<TimeMicros>(consumed);
-          op.Process(e, now, emitter);
-          ++processed;
+          if (n == 0) break;
+          for (int s = 0; s < num_inputs; ++s) {
+            const int64_t k = taken_[static_cast<size_t>(s)];
+            if (k > 0) inputs_[static_cast<size_t>(s)]->PopBatch(nullptr, k);
+          }
+          BatchClock clock(cycle_start_, consumed, cost);
+          op.ProcessBatch(batch_.data(), n, clock, emitter);
+          consumed = clock.consumed_micros();
+          batch_emitter.Flush();
+          processed += n;
           progressed = true;
         }
-        batch_emitter.Flush();
       }
       if (consumed + 0.01 > budget_micros_) {
         progressed = false;

@@ -35,11 +35,14 @@ class ExecutionContext {
   /// (budget permitting) is picked up by the next sweep. Returns the
   /// virtual micros consumed and updates the slot counters.
   ///
-  /// Unary operators drain through the batched fast path (PopBatch ->
-  /// ProcessBatch -> buffered flush); multi-input operators keep the
-  /// scalar earliest-ingest interleave. Both paths charge the identical
+  /// Every operator drains through the batched path (PopBatch ->
+  /// ProcessBatch -> buffered flush). Unary operators pop their single
+  /// input; multi-input operators (joins) gather a batch in the scalar
+  /// earliest-ingest interleave order, run by run across inputs, ending a
+  /// batch after each checkpoint barrier. Both charge the identical
   /// per-element virtual-time sequence, so results are byte-identical to
-  /// the scalar drain (DESIGN.md "Hot path").
+  /// the scalar drain (DESIGN.md "Hot path";
+  /// tests/multi_input_drain_test.cc keeps that drain as the oracle).
   ///
   /// `lane` restricts the sweep to one lane of a sharded query (see
   /// Query::Lane); -1 sweeps every operator. Distinct lanes of one query
@@ -77,6 +80,11 @@ class ExecutionContext {
   /// synchronization around them.
   std::vector<Event> batch_;
   std::vector<Event> emit_scratch_;
+  /// Input queues of the multi-input operator being drained (null while
+  /// blocked on barrier alignment).
+  std::vector<StreamQueue*> inputs_;
+  /// Elements of each input read into the current batch.
+  std::vector<int64_t> taken_;
 };
 
 }  // namespace klink

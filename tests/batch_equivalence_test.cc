@@ -20,6 +20,7 @@
 #include "src/operators/chained_operator.h"
 #include "src/operators/count_window_operator.h"
 #include "src/operators/filter_operator.h"
+#include "src/operators/join_operator.h"
 #include "src/operators/map_operator.h"
 #include "src/operators/operator.h"
 #include "src/operators/reorder_operator.h"
@@ -146,6 +147,20 @@ TEST(BatchEquivalenceTest, SlidingAggregate) {
         std::make_unique<SlidingWindowAssigner>(SecondsToMicros(4),
                                                 SecondsToMicros(1)),
         AggregationKind::kAverage);
+  };
+  CheckEquivalence(make(), make(), events);
+}
+
+TEST(BatchEquivalenceTest, WindowJoin) {
+  // Elements spread round-robin over three inputs, so each input's
+  // watermarks advance the join's minimum and panes fire mid-batch.
+  auto events = MakeSequence(11, 6000);
+  for (size_t i = 0; i < events.size(); ++i) {
+    events[i].stream = static_cast<int32_t>(i % 3);
+  }
+  auto make = [] {
+    return std::make_unique<WindowJoinOperator>(
+        "join", 1.3, MakeTumblingWindow(SecondsToMicros(1)), 3);
   };
   CheckEquivalence(make(), make(), events);
 }

@@ -181,6 +181,76 @@ TEST(WireTest, BackToBackFramesDecodeSequentially) {
                                            FrameType::kBye}));
 }
 
+TEST(WireTest, EncoderWritesGoldenBytes) {
+  // The exact little-endian layout of every frame the encoders write,
+  // appended back to back to one buffer (appending must not disturb the
+  // bytes already there).
+  std::vector<uint8_t> bytes = {0xEE};  // pre-existing content
+  EncodeHello(0x01020304, &bytes);
+  Event data = MakeDataEvent(/*event_time=*/0x0102030405060708,
+                             /*ingest_time=*/0x1112131415161718,
+                             /*key=*/0xA1A2A3A4A5A6A7A8ull, /*value=*/1.5,
+                             /*payload_bytes=*/96);
+  EncodeEvent(data, /*seq=*/0x1122334455667788ull, &bytes);
+  EncodeEvent(MakeRetractionEvent(3, 4, 5, -2.0, 16), /*seq=*/2, &bytes);
+  Event wm = MakeWatermark(0x0A0B, 0x0C0D);
+  wm.swm = true;
+  EncodeEvent(wm, /*seq=*/9, &bytes);
+  EncodeEvent(MakeLatencyMarker(1, 2), /*seq=*/7, &bytes);
+  EncodeError(WireError::kUnknownStream, "no", &bytes);
+  EncodeBye(&bytes);
+  EncodeHelloAck(5, 0x0100, &bytes);
+  EncodeCheckpointAck(3, 0xFFFFFFFFFFFFFFFFull, &bytes);
+
+  const std::vector<uint8_t> golden = {
+      0xEE,
+      // hello
+      0x4C, 0x4B, 0x03, 0x01, 0x04, 0x00, 0x00, 0x00,
+      0x04, 0x03, 0x02, 0x01,
+      // data
+      0x4C, 0x4B, 0x03, 0x02, 0x2C, 0x00, 0x00, 0x00,
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,
+      0xA8, 0xA7, 0xA6, 0xA5, 0xA4, 0xA3, 0xA2, 0xA1,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x3F,
+      0x60, 0x00, 0x00, 0x00,
+      // retraction
+      0x4C, 0x4B, 0x03, 0x09, 0x2C, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xC0,
+      0x10, 0x00, 0x00, 0x00,
+      // watermark (SWM flag set)
+      0x4C, 0x4B, 0x03, 0x03, 0x19, 0x00, 0x00, 0x00,
+      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x0B, 0x0A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x0D, 0x0C, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x01,
+      // latency marker
+      0x4C, 0x4B, 0x03, 0x04, 0x18, 0x00, 0x00, 0x00,
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // error
+      0x4C, 0x4B, 0x03, 0x05, 0x04, 0x00, 0x00, 0x00,
+      0x02, 0x00, 'n', 'o',
+      // bye
+      0x4C, 0x4B, 0x03, 0x06, 0x00, 0x00, 0x00, 0x00,
+      // hello ack
+      0x4C, 0x4B, 0x03, 0x07, 0x0C, 0x00, 0x00, 0x00,
+      0x05, 0x00, 0x00, 0x00,
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // checkpoint ack
+      0x4C, 0x4B, 0x03, 0x08, 0x10, 0x00, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+  };
+  EXPECT_EQ(bytes, golden);
+}
+
 TEST(WireTest, EveryTruncationPrefixNeedsMoreNeverCrashes) {
   // Element frame plus both new v2 control frames: every strict prefix
   // must classify as kNeedMore without reading out of bounds.
