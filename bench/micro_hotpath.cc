@@ -189,7 +189,8 @@ void BM_DrainBatched(benchmark::State& state) {
     FillSource(*query, kDrainEvents);
     context.BeginCycle(kBudget, 1.0, kCycleStart);
     state.ResumeTiming();
-    benchmark::DoNotOptimize(context.RunQuery(*query));
+    benchmark::DoNotOptimize(
+        context.RunQuery(*query, 0, query->num_operators()));
   }
   state.SetItemsProcessed(state.iterations() * kDrainEvents);
 }

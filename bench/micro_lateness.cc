@@ -1,5 +1,5 @@
 // Allowed-lateness bench (DESIGN.md "Late data"): what retaining fired
-// panes costs and what the Klink refire-debt correction buys.
+// panes costs and how much pending work the Klink refire debt prices.
 //
 // Part 1 — horizon sweep. YSB queries under the heavy-tailed Pareto
 // straggler delay, allowed lateness L in {0, 100, 300, 1000} ms.
@@ -10,18 +10,15 @@
 // Klink SWM-estimator accuracy/MAE, and output latency (unchanged by L:
 // panes still fire speculatively at their deadline).
 //
-// Part 2 — refire-debt gap. Retained panes create future work the slack
+// Part 2 — refire debt. Retained panes create future work the slack
 // evaluation cannot see from the queues alone: corrections that windowed
 // operators will emit at the next watermark. The snapshot prices that
-// debt (QueryInfo::refire_debt_micros) and KlinkPolicyConfig::
-// refire_debt_correction adds it to drain cost before computing slack.
-// The bench runs the same engine with the correction on and off and
-// reports (a) the gap itself — the time-averaged pending-work estimate
-// error of the off-ablation, i.e. the debt it drops, with the flushed
-// debt alongside to show the predicted work materializes as emitted
-// corrections — and (b) the scheduling outcome (mean slowdown, p99
-// latency) of both runs. Virtual time makes both runs deterministic, so
-// any outcome difference is systematic, not noise.
+// debt (QueryInfo::refire_debt_micros) and Klink adds it to drain cost
+// before computing slack. The bench reports the time-averaged debt priced
+// per cycle — the pending work a queue-only estimate would drop — with the
+// flushed debt alongside to show the predicted work materializes as
+// emitted corrections, and the run's scheduling outcome (mean slowdown,
+// p99 latency).
 //
 // Acceptance (recorded by tools/bench_lateness.sh into
 // BENCH_lateness.json):
@@ -29,9 +26,8 @@
 //     dropped(L=1000ms) < dropped(L=100ms);
 //   * correction elements emitted > 0 for every L >= 100ms;
 //   * peak memory at L=1000ms exceeds the L=0 baseline;
-//   * the off-ablation's estimate error (mean dropped debt) > 0 and the
-//     debt flushes (corrections materialize);
-//   * debt-corrected mean slowdown <= uncorrected.
+//   * the priced debt per cycle is > 0 and flushes (corrections
+//     materialize).
 //
 //   micro_lateness [--executor=threads|sequential]
 
@@ -83,11 +79,9 @@ void RunSweepPoint(DurationMicros lateness, ExecutorKind executor,
   std::fflush(stdout);
 }
 
-void RunDebtVariant(bool correction, ExecutorKind executor,
-                    DurationMicros duration) {
+void RunDebt(ExecutorKind executor, DurationMicros duration) {
   ExperimentConfig config = BaseConfig(executor, duration);
   config.allowed_lateness = MillisToMicros(300);
-  config.klink.refire_debt_correction = correction;
   double debt_sum = 0.0;
   double flushed_debt = 0.0;  // per-cycle debt drops ~= work emitted
   double prev_debt = 0.0;
@@ -104,10 +98,9 @@ void RunDebtVariant(bool correction, ExecutorKind executor,
         ++cycles;
       });
   std::printf(
-      "DEBT correction=%d mean_debt_micros_per_cycle=%.2f "
+      "DEBT mean_debt_micros_per_cycle=%.2f "
       "flushed_debt_micros=%.0f corrections=%lld accepted=%lld "
       "slowdown=%.1f p99_latency_s=%.3f\n",
-      correction ? 1 : 0,
       cycles == 0 ? 0.0 : debt_sum / static_cast<double>(cycles),
       flushed_debt,
       static_cast<long long>(r.late.retractions_emitted +
@@ -131,7 +124,7 @@ int main(int argc, char** argv) {
   const bool smoke = bench::SmokeMode();
   const DurationMicros duration = SecondsToMicros(smoke ? 8 : 30);
 
-  std::printf("# allowed-lateness: horizon sweep + refire-debt gap, "
+  std::printf("# allowed-lateness: horizon sweep + refire debt, "
               "executor=%s, delay=pareto\n",
               ExecutorKindName(executor));
   for (const DurationMicros lateness :
@@ -139,7 +132,6 @@ int main(int argc, char** argv) {
         MillisToMicros(1000)}) {
     RunSweepPoint(lateness, executor, duration);
   }
-  RunDebtVariant(/*correction=*/true, executor, duration);
-  RunDebtVariant(/*correction=*/false, executor, duration);
+  RunDebt(executor, duration);
   return 0;
 }

@@ -12,8 +12,11 @@
 #include "src/dist/node.h"
 #include "src/dist/placement.h"
 #include "src/query/query.h"
+#include "src/runtime/engine.h"
 #include "src/runtime/event_feed.h"
+#include "src/runtime/execution_context.h"
 #include "src/runtime/metrics.h"
+#include "src/runtime/snapshot.h"
 
 namespace klink {
 
@@ -32,6 +35,12 @@ struct DistEngineConfig {
   double pressure_onset_fraction = 0.7;
   /// Physical plan strategy (see PlacementMode).
   PlacementMode placement = PlacementMode::kLocal;
+
+  /// Aborts on out-of-range values: the EngineConfig::Validate checks on
+  /// every node's cores, memory, cycle length and pressure model, plus
+  /// num_nodes >= 1 and link_latency >= 0. Called by the DistEngine
+  /// constructor.
+  void Validate() const;
 };
 
 /// Multi-node SPE: operators are partitioned across nodes by the physical
@@ -41,6 +50,12 @@ struct DistEngineConfig {
 /// ForwardingChannels with the same latency, so every policy decision uses
 /// locally fresh + remotely stale data, as in the paper's decentralized
 /// design.
+///
+/// DistEngine only coordinates: placement, per-node policies and memory,
+/// the transit heap and the forwarding channels. A node drains its segment
+/// of a query with the single-node ExecutionContext::RunQuery, sees it
+/// through CollectQueryInfo restricted to the segment (RestrictQueryInfo),
+/// and ingests through the single-node PushToSources.
 class DistEngine {
  public:
   using PolicyFactory =
@@ -51,9 +66,9 @@ class DistEngine {
   DistEngine(const DistEngine&) = delete;
   DistEngine& operator=(const DistEngine&) = delete;
 
-  /// Deploys a query. Its operator chain is split into contiguous segments
-  /// placed starting at node (id mod num_nodes), so concurrent queries
-  /// spread across the cluster.
+  /// Deploys an unsharded query. Its operator chain is split into
+  /// contiguous segments placed starting at node (id mod num_nodes), so
+  /// concurrent queries spread across the cluster.
   QueryId AddQuery(std::unique_ptr<Query> query, std::unique_ptr<EventFeed> feed,
                    TimeMicros deploy_time = 0);
 
@@ -75,14 +90,19 @@ class DistEngine {
     std::unique_ptr<Query> query;
     std::unique_ptr<EventFeed> feed;
     std::vector<NodeId> placement;
+    /// Per node, the operator range [begin, end) it hosts (empty if none).
+    std::vector<Query::Lane> segments;
     ForwardingChannel channel;
+    /// This cycle's full collect: backs the published record and, restricted
+    /// to each hosting node's segment, that node's view.
+    QueryInfo info;
   };
   struct Transit {
     TimeMicros deliver_time;
     int64_t seq;
     QueryId query_id;
+    /// Receiving operator; event.stream is its input stream.
     int op_index;
-    int stream;
     Event event;
     bool operator>(const Transit& other) const {
       if (deliver_time != other.deliver_time) {
@@ -97,10 +117,8 @@ class DistEngine {
   void Ingest();
   void PublishInfo();
   void BuildNodeSnapshot(NodeId node_id, RuntimeSnapshot* snap);
-  double ExecuteQueryOnNode(DeployedQuery& dq, NodeId node_id,
-                            double budget_micros, double cost_multiplier,
-                            TimeMicros cycle_start);
-  int64_t NodeMemoryUsage(NodeId node_id) const;
+  /// Recomputes node_memory_ from every hosted operator.
+  void SumNodeMemory();
 
   DistEngineConfig config_;
   std::vector<std::unique_ptr<Node>> nodes_;
@@ -110,7 +128,12 @@ class DistEngine {
   int64_t transit_seq_ = 0;
   EngineMetrics metrics_;
   TimeMicros now_ = 0;
+  /// Nodes drain their selections one slot after another on this context.
+  ExecutionContext context_{/*slot=*/0};
+  /// Memory held by each node's operators, kept current through ingest.
+  std::vector<int64_t> node_memory_;
   std::vector<EventFeed::FeedElement> feed_scratch_;
+  std::vector<std::vector<Event>> source_scratch_;
 };
 
 }  // namespace klink

@@ -9,6 +9,34 @@
 
 namespace klink {
 
+int64_t PushToSources(const std::vector<EventFeed::FeedElement>& poll,
+                      Query& query, std::vector<std::vector<Event>>* scratch,
+                      int64_t* data_events) {
+  // Partition the poll by source, keeping feed order, so each source queue
+  // takes one PushBatch (one accounting update, one memory-sink delta) and
+  // sees its elements in feed order.
+  const auto& sources = query.sources();
+  if (scratch->size() < sources.size()) scratch->resize(sources.size());
+  int64_t added = 0;
+  for (const EventFeed::FeedElement& fe : poll) {
+    KLINK_CHECK(fe.source_index >= 0 &&
+                fe.source_index < static_cast<int>(sources.size()));
+    std::vector<Event>& run = (*scratch)[static_cast<size_t>(fe.source_index)];
+    run.push_back(fe.event);
+    run.back().stream = 0;  // source operators are unary
+    added += fe.event.payload_bytes + StreamQueue::kPerEventOverhead;
+    if (fe.event.is_data()) ++*data_events;
+  }
+  for (size_t i = 0; i < sources.size(); ++i) {
+    std::vector<Event>& run = (*scratch)[i];
+    if (run.empty()) continue;
+    sources[i]->input(0).PushBatch(run.data(),
+                                   static_cast<int64_t>(run.size()));
+    run.clear();
+  }
+  return added;
+}
+
 void EngineConfig::Validate() const {
   KLINK_CHECK_GE(num_cores, 1);
   KLINK_CHECK_GT(cycle_length, 0);
@@ -171,15 +199,17 @@ void Engine::RunCycle() {
   // executor backend; per-worker counters merge at the cycle barrier.
   const double budget =
       std::max(0.0, r - sched_cost / static_cast<double>(config_.num_cores));
-  const double multiplier = CostMultiplier();
+  const double multiplier = memory_.CostMultiplier(
+      config_.pressure_onset_fraction, config_.memory_pressure_penalty);
   tasks_scratch_.clear();
   for (SlotAssignment& slot : selection_scratch_) {
     KLINK_CHECK(IsActive(slot.query));  // policies select live queries only
     slot.budget_micros = budget * slot.budget_fraction;
     Query& q = query(slot.query);
-    const int stage = slot.lane < 0 ? 0 : q.lane(slot.lane).stage;
-    tasks_scratch_.push_back(
-        ExecutorTask{&q, slot.budget_micros, slot.lane, stage});
+    const Query::Lane lane = slot.lane < 0
+                                 ? Query::Lane{0, q.num_operators(), 0}
+                                 : q.lane(slot.lane);
+    tasks_scratch_.push_back(ExecutorTask{&q, slot.budget_micros, lane});
   }
   // Producer lanes must run before the lanes they feed: publish tasks in
   // stage order. The sort is stable so equal-stage slots keep the policy's
@@ -187,7 +217,7 @@ void Engine::RunCycle() {
   // which is what keeps sequential and thread-pool results bit-identical.
   std::stable_sort(tasks_scratch_.begin(), tasks_scratch_.end(),
                    [](const ExecutorTask& a, const ExecutorTask& b) {
-                     return a.stage < b.stage;
+                     return a.lane.stage < b.lane.stage;
                    });
   if (audit_ != nullptr) {
     audit_->CheckSelection(selection_scratch_, config_.num_cores, budget);
@@ -248,32 +278,9 @@ int64_t Engine::Ingest() {
     feed_scratch_.clear();
     lq.feed->PollUpTo(now_, budget, &feed_scratch_);
     if (feed_scratch_.empty()) continue;
-    // Partition the poll by source, keeping feed order, so each source
-    // queue takes one PushBatch (one accounting update, one memory-sink
-    // delta) per cycle and sees its elements in the same order as before.
-    const auto& sources = lq.query->sources();
-    if (source_scratch_.size() < sources.size()) {
-      source_scratch_.resize(sources.size());
-    }
     int64_t data = 0;
-    int64_t added_total = 0;
-    for (const EventFeed::FeedElement& fe : feed_scratch_) {
-      KLINK_CHECK(fe.source_index >= 0 &&
-                  fe.source_index < static_cast<int>(sources.size()));
-      std::vector<Event>& run =
-          source_scratch_[static_cast<size_t>(fe.source_index)];
-      run.push_back(fe.event);
-      run.back().stream = 0;  // source operators are unary
-      added_total += fe.event.payload_bytes + StreamQueue::kPerEventOverhead;
-      if (fe.event.is_data()) ++data;
-    }
-    for (size_t i = 0; i < sources.size(); ++i) {
-      std::vector<Event>& run = source_scratch_[i];
-      if (run.empty()) continue;
-      sources[i]->input(0).PushBatch(run.data(),
-                                     static_cast<int64_t>(run.size()));
-      run.clear();
-    }
+    const int64_t added_total =
+        PushToSources(feed_scratch_, *lq.query, &source_scratch_, &data);
     budget -= added_total;
     memory_usage_ += added_total;
     AccountedBytes(lq.id) += added_total;
@@ -321,14 +328,6 @@ void Engine::BuildSnapshot(RuntimeSnapshot* snap) {
     memory_usage_ += info.memory_bytes - accounted;
     accounted = info.memory_bytes;
   }
-}
-
-double Engine::CostMultiplier() const {
-  const double onset = config_.pressure_onset_fraction;
-  if (onset >= 1.0) return 1.0;
-  const double util = memory_.utilization();
-  const double stress = std::clamp((util - onset) / (1.0 - onset), 0.0, 1.0);
-  return 1.0 + config_.memory_pressure_penalty * stress;
 }
 
 void Engine::MaybeSampleMetrics() {

@@ -52,6 +52,14 @@ struct EngineConfig {
   void Validate() const;
 };
 
+/// Appends one feed poll to `query`'s source queues, one PushBatch per
+/// source in feed order; `scratch` keeps the per-source runs' allocations
+/// between calls. Returns the queue bytes added and counts the poll's data
+/// events into `*data_events`. Shared by Engine and DistEngine ingest.
+int64_t PushToSources(const std::vector<EventFeed::FeedElement>& poll,
+                      Query& query, std::vector<std::vector<Event>>* scratch,
+                      int64_t* data_events);
+
 /// The stream processing engine: a virtual-time, state-based-scheduled SPE
 /// (Sec. 5), layered as orchestration (this class) over policy
 /// (sched/policy.h) over execution (runtime/executor.h). Each scheduling
@@ -179,7 +187,6 @@ class Engine {
   void SyncQueryMemory(const Query& q);
   /// Drops a retired query from the incremental memory accounting.
   void OnQueryRetired(QueryId id);
-  double CostMultiplier() const;
   void MaybeSampleMetrics();
 
   EngineConfig config_;

@@ -28,14 +28,11 @@ void ExecutionContext::BeginCycle(double budget_micros, double cost_multiplier,
   cycle_processed_events_ = 0;
 }
 
-double ExecutionContext::RunQuery(Query& query, int lane) {
+double ExecutionContext::RunQuery(Query& query, int begin, int end,
+                                  const Egress* egress) {
   double consumed = 0.0;
   bool progressed = true;
   int64_t processed = 0;
-  // Lane -1 sweeps the whole query; otherwise only the lane's operator
-  // range (a shard lane of a sharded query, or its prefix/suffix lane).
-  const int sweep_begin = lane == -1 ? 0 : query.lane(lane).begin;
-  const int sweep_end = lane == -1 ? query.num_operators() : query.lane(lane).end;
   if (batch_.size() < static_cast<size_t>(kMaxBatch)) {
     batch_.resize(static_cast<size_t>(kMaxBatch));
   }
@@ -44,7 +41,7 @@ double ExecutionContext::RunQuery(Query& query, int lane) {
   // sweep. Stops when the budget is exhausted or all queues drained.
   while (progressed) {
     progressed = false;
-    for (int i = sweep_begin; i < sweep_end; ++i) {
+    for (int i = begin; i < end; ++i) {
       Operator& op = query.op(i);
       const Query::Edge& edge = query.edge(i);
       StreamQueue* downstream_queue =
@@ -53,6 +50,21 @@ double ExecutionContext::RunQuery(Query& query, int lane) {
               : &query.op(edge.downstream).input(edge.downstream_stream);
       BatchEmitter batch_emitter(downstream_queue, edge.downstream_stream,
                                  &emit_scratch_);
+      // An edge leaving the range with an egress given: its batches are
+      // handed over instead of flushed, so the downstream queue is never
+      // touched.
+      const bool to_egress =
+          egress != nullptr && edge.downstream != -1 &&
+          (edge.downstream < begin || edge.downstream >= end);
+      const auto flush = [&] {
+        if (!to_egress) {
+          batch_emitter.Flush();
+          return;
+        }
+        (*egress)(i, emit_scratch_,
+                  cycle_start_ + static_cast<TimeMicros>(consumed));
+        emit_scratch_.clear();
+      };
       // Exchange operators route through their own inline emitter (fan-out
       // to per-shard queues); everything else appends to the single
       // downstream edge via the buffering BatchEmitter.
@@ -83,7 +95,7 @@ double ExecutionContext::RunQuery(Query& query, int lane) {
           BatchClock clock(cycle_start_, consumed, cost);
           op.ProcessBatch(batch_.data(), got, clock, emitter);
           consumed = clock.consumed_micros();
-          batch_emitter.Flush();
+          flush();
           processed += got;
           progressed = true;
         }
@@ -179,7 +191,7 @@ double ExecutionContext::RunQuery(Query& query, int lane) {
           BatchClock clock(cycle_start_, consumed, cost);
           op.ProcessBatch(batch_.data(), n, clock, emitter);
           consumed = clock.consumed_micros();
-          batch_emitter.Flush();
+          flush();
           processed += n;
           progressed = true;
         }
@@ -196,9 +208,9 @@ double ExecutionContext::RunQuery(Query& query, int lane) {
     // a full event walk (the batched paths are the likeliest drift source).
     KLINK_CHECK_LE(consumed, budget_micros_ + 1e-6);
     KLINK_CHECK_GE(processed, 0);
-    // Only the swept lane's queues: sibling shard lanes may be draining
+    // Only the swept range's queues: sibling shard lanes may be draining
     // concurrently on other slots, so their queues are not ours to walk.
-    for (int i = sweep_begin; i < sweep_end; ++i) {
+    for (int i = begin; i < end; ++i) {
       const Operator& op = query.op(i);
       for (int s = 0; s < op.num_inputs(); ++s) {
         const StreamQueue& in = op.input(s);

@@ -2,6 +2,7 @@
 #define KLINK_RUNTIME_EXECUTION_CONTEXT_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "src/common/types.h"
@@ -22,6 +23,13 @@ namespace klink {
 /// consumption — which is what keeps both executor backends bit-identical.
 class ExecutionContext {
  public:
+  /// Receives one flushed batch of an edge leaving the drained range: the
+  /// emitting operator's index, its outputs (already stamped with the
+  /// downstream input stream), and the virtual time the batch finished.
+  using Egress = std::function<void(int op_index,
+                                    const std::vector<Event>& events,
+                                    TimeMicros at)>;
+
   explicit ExecutionContext(int slot);
 
   /// Arms the slot for one scheduling cycle: the virtual-CPU budget, the
@@ -44,12 +52,18 @@ class ExecutionContext {
   /// the scalar drain (DESIGN.md "Hot path";
   /// tests/multi_input_drain_test.cc keeps that drain as the oracle).
   ///
-  /// `lane` restricts the sweep to one lane of a sharded query (see
-  /// Query::Lane); -1 sweeps every operator. Distinct lanes of one query
-  /// touch disjoint operators and queues (the partition pushes into shard
-  /// queues only from its own stage-0 lane, which the executor orders
-  /// before the shard lanes), so lanes run concurrently on distinct slots.
-  double RunQuery(Query& query, int lane = -1);
+  /// The sweep covers operators [begin, end): the whole query, one lane of
+  /// a sharded query (see Query::Lane), or the segment one node of a
+  /// distributed deployment hosts. Distinct lanes of one query touch
+  /// disjoint operators and queues (the partition pushes into shard queues
+  /// only from its own stage-0 lane, which the executor orders before the
+  /// shard lanes), so lanes run concurrently on distinct slots.
+  ///
+  /// Outputs of an edge that leaves the range go to the downstream queue,
+  /// unless `egress` is given: then each flushed batch of them is handed
+  /// to it instead (DistEngine's cross-node links).
+  double RunQuery(Query& query, int begin, int end,
+                  const Egress* egress = nullptr);
 
   int slot() const { return slot_; }
   double budget_micros() const { return budget_micros_; }

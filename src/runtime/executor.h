@@ -30,16 +30,16 @@ bool ParseExecutorKind(const std::string& s, ExecutorKind* out);
 /// One slot's work for a cycle, resolved by the engine from the policy's
 /// Selection: tasks[i] runs on slot i of the executor.
 ///
-/// `lane` selects one lane of a sharded query (-1 = whole query); `stage`
-/// is that lane's pipeline stage. The engine publishes tasks sorted by
-/// stage (stable), and backends must not run a task before every
-/// lower-stage task has finished: stage order is what keeps a shard lane
-/// from racing the partition that feeds it or the merge that drains it.
+/// `lane` is the operator range the slot drains — the whole query, or one
+/// lane of a sharded query — and its pipeline stage. The engine publishes
+/// tasks sorted by stage (stable), and backends must not run a task before
+/// every lower-stage task has finished: stage order is what keeps a shard
+/// lane from racing the partition that feeds it or the merge that drains
+/// it.
 struct ExecutorTask {
   Query* query = nullptr;
   double budget_micros = 0.0;
-  int lane = -1;
-  int stage = 0;
+  Query::Lane lane;
 };
 
 /// Per-cycle counters merged across slots at the cycle barrier. Backends

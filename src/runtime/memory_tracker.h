@@ -32,6 +32,11 @@ class MemoryTracker {
   /// True while backpressure stalls ingestion.
   bool backpressured() const { return backpressured_; }
 
+  /// Managed-runtime memory-pressure model: the per-event cost multiplier,
+  /// rising linearly from 1 at `onset_fraction` utilization to
+  /// 1 + `penalty` at capacity (see EngineConfig::memory_pressure_penalty).
+  double CostMultiplier(double onset_fraction, double penalty) const;
+
  private:
   int64_t capacity_;
   double resume_fraction_;

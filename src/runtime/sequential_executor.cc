@@ -30,7 +30,7 @@ CycleStats SequentialExecutor::ExecuteCycle(
     ctx.BeginCycle(task.budget_micros, cost_multiplier, cycle_start);
     // Slot order respects stage order (the engine publishes tasks sorted
     // by stage), so producer lanes run before the lanes they feed.
-    ctx.RunQuery(*task.query, task.lane);
+    ctx.RunQuery(*task.query, task.lane.begin, task.lane.end);
     stats.busy_micros += ctx.cycle_busy_micros();
     stats.processed_events += ctx.cycle_processed_events();
   }

@@ -23,7 +23,8 @@ const QueryInfo* RuntimeSnapshot::Find(QueryId id) const {
 
 namespace {
 
-/// Earlier of two ingestion times, where kNoTime means "nothing queued".
+/// Earlier of two times, where kNoTime means "none" (nothing queued, no
+/// deadline).
 TimeMicros MinIngest(TimeMicros a, TimeMicros b) {
   if (a == kNoTime) return b;
   if (b == kNoTime) return a;
@@ -230,6 +231,37 @@ void CollectQueryInfo(const Query& query, TimeMicros now, QueryInfo* info) {
   }
   info->output_rate = cost_sum <= 0.0 ? 0.0 : sel_product / cost_sum;
 
+  AggregateQueues(query, info);
+}
+
+void RestrictQueryInfo(const Query& query, int begin, int end,
+                       QueryInfo* info) {
+  KLINK_DCHECK(info->query == &query);
+  KLINK_DCHECK(!query.sharded());
+  info->upcoming_deadline = kNoTime;
+  info->memory_bytes = 0;
+  info->refire_debt_micros = 0.0;
+  for (int i = 0; i < query.num_operators(); ++i) {
+    const size_t idx = static_cast<size_t>(i);
+    if (i < begin || i >= end) {
+      info->op_queued[idx] = 0;
+      info->op_oldest[idx] = kNoTime;
+      continue;
+    }
+    const Operator& op = query.op(i);
+    info->memory_bytes += op.MemoryBytes();
+    info->refire_debt_micros += OpRefireDebt(query, *info, i);
+    if (info->op_windowed[idx] != 0) {
+      info->upcoming_deadline =
+          MinIngest(info->upcoming_deadline, op.UpcomingDeadline());
+    }
+  }
+  std::erase_if(info->streams, [begin, end](const StreamProgress& p) {
+    return p.op_index < begin || p.op_index >= end;
+  });
+  LaneInfo& lane = info->lanes[0];
+  lane.refire_debt_micros = info->refire_debt_micros;
+  lane.streams_end = static_cast<int>(info->streams.size());
   AggregateQueues(query, info);
 }
 

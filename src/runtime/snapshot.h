@@ -89,8 +89,7 @@ struct QueryInfo {
   /// virtual CPU cost of the retraction+update correction elements that
   /// windowed operators will emit at their next watermark — invisible to
   /// queue-based drain cost until emission, yet certain to precede the
-  /// sweep. Klink folds it into the drain cost when
-  /// KlinkPolicyConfig::refire_debt_correction is on.
+  /// sweep. Klink folds it into the drain cost before computing slack.
   double refire_debt_micros = 0.0;
   /// Expected end-to-end cost of a single source event (the ideal
   /// processing time used by the slowdown metric, Sec. 6.1.2).
@@ -169,6 +168,17 @@ void CollectQueryInfo(const Query& query, TimeMicros now, QueryInfo* info);
 /// bit-identical to a full collect at O(sources + operators) without
 /// virtual calls or SWM tracker walks.
 void RefreshIngestedQueryInfo(const Query& query, QueryInfo* info);
+
+/// Restricts an entry filled by CollectQueryInfo to the operators
+/// [begin, end) of an unsharded query: what one node of a distributed
+/// deployment observes locally (Sec. 4). The other operators' queues,
+/// memory, window progress, deadlines and refire debt are masked out, and
+/// the queue aggregates are recomputed through the same terms as the full
+/// collect — so the whole range reproduces the full collect bit for bit.
+/// Per-operator plan fields (costs, selectivities, path costs) and the
+/// query-level unit cost and output rate are kept.
+void RestrictQueryInfo(const Query& query, int begin, int end,
+                       QueryInfo* info);
 
 /// Names the first field (in declaration order, with the element index for
 /// vectors, e.g. "lanes[0].oldest_ingest") where `a` and `b` differ, or

@@ -38,7 +38,8 @@ CycleStats ThreadPoolExecutor::ExecuteCycle(
   KLINK_CHECK_LE(tasks.size(), contexts_.size());
   for (const ExecutorTask& task : tasks) KLINK_CHECK(task.query != nullptr);
   for (size_t i = 1; i < tasks.size(); ++i) {
-    KLINK_CHECK_GE(tasks[i].stage, tasks[i - 1].stage);  // engine sorts
+    // The engine sorts tasks by stage.
+    KLINK_CHECK_GE(tasks[i].lane.stage, tasks[i - 1].lane.stage);
   }
   // Execute one barrier group per maximal run of equal-stage tasks: the
   // group's slots run concurrently, and the next group starts only after
@@ -50,7 +51,8 @@ CycleStats ThreadPoolExecutor::ExecuteCycle(
   size_t begin = 0;
   while (begin < tasks.size()) {
     size_t end = begin + 1;
-    while (end < tasks.size() && tasks[end].stage == tasks[begin].stage) {
+    while (end < tasks.size() &&
+           tasks[end].lane.stage == tasks[begin].lane.stage) {
       ++end;
     }
     {
@@ -116,7 +118,7 @@ void ThreadPoolExecutor::WorkerLoop(int slot) {
     // the point: holding mu_ across RunQuery would serialize the pool.
     ExecutionContext& ctx = contexts_[static_cast<size_t>(slot)];
     ctx.BeginCycle(task.budget_micros, multiplier, start);
-    ctx.RunQuery(*task.query, task.lane);
+    ctx.RunQuery(*task.query, task.lane.begin, task.lane.end);
     {
       MutexLock lock(&mu_);
       if (--remaining_ == 0) done_cv_.NotifyOne();

@@ -7,25 +7,43 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/dist/dist_engine.h"
 #include "src/net/delay_model.h"
 #include "src/query/pipeline_builder.h"
+#include "src/runtime/snapshot.h"
 #include "src/workloads/workload.h"
 
 namespace klink {
 namespace {
 
-/// Round-robin-ish policy that records every snapshot it is handed.
+/// Round-robin-ish policy that records every snapshot it is handed. With
+/// `mismatches` set it also compares each entry against a full
+/// CollectQueryInfo of the same query at selection time (the same cycle)
+/// and records "query <id> at <now>: <first differing field>".
 class CapturingPolicy final : public SchedulingPolicy {
  public:
-  explicit CapturingPolicy(std::vector<RuntimeSnapshot>* log) : log_(log) {}
+  explicit CapturingPolicy(std::vector<RuntimeSnapshot>* log,
+                           std::vector<std::string>* mismatches = nullptr)
+      : log_(log), mismatches_(mismatches) {}
 
   std::string name() const override { return "capture"; }
 
   void SelectQueries(const RuntimeSnapshot& snapshot, int slots,
                      Selection* out) override {
     log_->push_back(snapshot);  // QueryInfo::query pointers stay valid
+    if (mismatches_ != nullptr) {
+      for (const QueryInfo& info : snapshot.queries) {
+        QueryInfo full;
+        CollectQueryInfo(*info.query, snapshot.now, &full);
+        const std::string field = FirstQueryInfoMismatch(info, full);
+        if (field.empty()) continue;
+        mismatches_->push_back("query " + std::to_string(info.id) + " at " +
+                               std::to_string(snapshot.now) + ": " + field);
+      }
+    }
     SelectTopReadyQueries(
         snapshot, slots,
         [](const QueryInfo& a, const QueryInfo& b) { return a.id < b.id; },
@@ -34,6 +52,7 @@ class CapturingPolicy final : public SchedulingPolicy {
 
  private:
   std::vector<RuntimeSnapshot>* log_;
+  std::vector<std::string>* mismatches_;
 };
 
 std::unique_ptr<Query> WindowQuery(QueryId id) {
@@ -77,6 +96,31 @@ TEST(DistSnapshotTest, LocalOnlyQueriesVisibleOnOwningNode) {
   for (const RuntimeSnapshot& snap : logs[1]) {
     for (const QueryInfo& info : snap.queries) EXPECT_EQ(info.id, 1);
   }
+}
+
+TEST(DistSnapshotTest, LocalNodeViewIsTheFullCollect) {
+  // Under kLocal a node hosts whole queries, so its view of each one must
+  // be the single-node CollectQueryInfo bit for bit — every field, HR's
+  // output_rate and the lanes included.
+  DistEngineConfig config;
+  config.num_nodes = 2;
+  config.placement = PlacementMode::kLocal;
+  std::map<NodeId, std::vector<RuntimeSnapshot>> logs;
+  std::vector<std::string> mismatches;
+  DistEngine engine(config, [&](NodeId node) {
+    return std::make_unique<CapturingPolicy>(&logs[node], &mismatches);
+  });
+  for (QueryId q = 0; q < 4; ++q) engine.AddQuery(WindowQuery(q), Feed(10 + q));
+  engine.RunUntil(SecondsToMicros(6));
+
+  size_t entries = 0;
+  for (NodeId n : {0, 1}) {
+    for (const RuntimeSnapshot& snap : logs[n]) entries += snap.queries.size();
+  }
+  EXPECT_GT(entries, 0u);
+  EXPECT_TRUE(mismatches.empty())
+      << mismatches.size() << " of " << entries
+      << " entries differ; first: " << mismatches.front();
 }
 
 TEST(DistSnapshotTest, SplitQueryVisibleOnAllHostingNodes) {

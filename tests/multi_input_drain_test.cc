@@ -231,7 +231,7 @@ void DrainBoth(Rng& rng, Query& batched, Query& scalar) {
     const double budget = static_cast<double>(rng.NextInt(1, 400)) +
                           rng.NextDouble();
     context.BeginCycle(budget, 1.0, cycle_start);
-    const double got = context.RunQuery(batched);
+    const double got = context.RunQuery(batched, 0, batched.num_operators());
     int64_t scalar_processed = 0;
     const double want =
         ScalarRunQuery(scalar, budget, cycle_start, &scalar_processed,
