@@ -4,22 +4,30 @@
 // scalar drain loop, reimplemented here verbatim, against the engine's
 // batched ExecutionContext::RunQuery over an identical pipeline and
 // workload. The drain speedup is the acceptance number recorded in
-// BENCH_hotpath.json (target >= 1.3x).
+// BENCH_hotpath.json (target >= 1.3x). The ingest path is timed too: 500
+// LRB feeds delivering into their source queues, and the copying unary
+// drain against the in-place one.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "src/event/stream_queue.h"
+#include "src/net/delay_model.h"
 #include "src/operators/aggregate_operator.h"
 #include "src/operators/filter_operator.h"
 #include "src/operators/map_operator.h"
+#include "src/operators/source_operator.h"
 #include "src/query/pipeline_builder.h"
+#include "src/query/query.h"
 #include "src/runtime/batch_emitter.h"
+#include "src/runtime/event_feed.h"
 #include "src/runtime/execution_context.h"
 #include "src/window/window_assigner.h"
+#include "src/workloads/lrb.h"
 
 namespace klink {
 namespace {
@@ -54,7 +62,7 @@ void BM_QueueBatchTransfer(benchmark::State& state) {
   std::vector<Event> out(static_cast<size_t>(kQueueBatch));
   StreamQueue q;
   for (auto _ : state) {
-    q.PushBatch(events.data(), kQueueBatch);
+    q.PushBatch(events.data(), kQueueBatch, /*stream=*/0);
     benchmark::DoNotOptimize(q.PopBatch(out.data(), kQueueBatch));
   }
   state.SetItemsProcessed(state.iterations() * kQueueBatch);
@@ -195,6 +203,137 @@ void BM_DrainBatched(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kDrainEvents);
 }
 BENCHMARK(BM_DrainBatched)->Unit(benchmark::kMillisecond);
+
+/// ---- ingest: feed to source queues ---------------------------------
+
+/// lrb_q500's ingest: 500 LRB queries (3 sources each, 20 events/s per
+/// substream, the paper's uniform delay), fed one 120 ms cycle per
+/// iteration through EventFeed::DeliverUpTo (for a SyntheticFeed, the
+/// base-class poll and per-source partition); the source queues are
+/// emptied (untimed) after each cycle.
+void BM_IngestToSource(benchmark::State& state) {
+  constexpr int kQueries = 500;
+  LrbConfig config;
+  config.events_per_substream_per_second = 20;
+  std::vector<std::unique_ptr<Query>> queries;
+  std::vector<std::unique_ptr<EventFeed>> feeds;
+  for (int q = 0; q < kQueries; ++q) {
+    queries.push_back(MakeLrbQuery(q, config));
+    feeds.push_back(MakeLrbFeed(config, MakePaperUniformDelay(),
+                                static_cast<uint64_t>(q + 1), 0));
+  }
+  TimeMicros now = 0;
+  int64_t elements = 0;
+  for (auto _ : state) {
+    now += MillisToMicros(120);
+    for (int q = 0; q < kQueries; ++q) {
+      feeds[static_cast<size_t>(q)]->DeliverUpTo(
+          now, std::numeric_limits<int64_t>::max(),
+          *queries[static_cast<size_t>(q)]);
+    }
+    state.PauseTiming();
+    for (auto& query : queries) {
+      for (SourceOperator* src : query->sources()) {
+        elements += src->input(0).size();
+        src->input(0).Clear();
+      }
+    }
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(elements);
+}
+BENCHMARK(BM_IngestToSource)->Unit(benchmark::kMicrosecond);
+
+/// ---- unary drain: copying vs. in place ------------------------------
+
+constexpr int64_t kUnaryEvents = 50000;
+
+/// A source-heavy unary pipeline, where moving elements dominates:
+/// source -> identity map -> sink.
+std::unique_ptr<Query> MakeUnaryQuery() {
+  PipelineBuilder b("unary");
+  b.Source("src", 0.1).Map("m", 0.1).Sink("out", 0.1);
+  return b.Build(0);
+}
+
+/// The unary drain before in-place reading: PopBatch up to 512 elements
+/// into a scratch vector, re-stamp `stream`, process the copy, flush.
+double CopyingRunQuery(Query& query, double budget_micros,
+                       TimeMicros cycle_start, std::vector<Event>* batch,
+                       std::vector<Event>* scratch) {
+  constexpr int64_t kMaxBatch = 512;
+  batch->resize(static_cast<size_t>(kMaxBatch));
+  double consumed = 0.0;
+  bool progressed = true;
+  while (progressed) {
+    progressed = false;
+    for (int i = 0; i < query.num_operators(); ++i) {
+      Operator& op = query.op(i);
+      const Query::Edge& edge = query.edge(i);
+      StreamQueue* downstream_queue =
+          edge.downstream == -1
+              ? nullptr
+              : &query.op(edge.downstream).input(edge.downstream_stream);
+      BatchEmitter emitter(downstream_queue, edge.downstream_stream, scratch);
+      const double cost = std::max(0.01, op.cost_per_event());
+      StreamQueue& in = op.input(0);
+      while (true) {
+        const int64_t avail = std::min(in.size(), kMaxBatch);
+        int64_t n = 0;
+        double replay = consumed;
+        while (n < avail && replay + cost <= budget_micros) {
+          replay += cost;
+          ++n;
+        }
+        if (n == 0) break;
+        const int64_t got = in.PopBatch(batch->data(), n);
+        for (int64_t k = 0; k < got; ++k) {
+          (*batch)[static_cast<size_t>(k)].stream = 0;
+        }
+        BatchClock clock(cycle_start, consumed, cost);
+        op.ProcessBatch(batch->data(), got, clock, emitter);
+        consumed = clock.consumed_micros();
+        emitter.Flush();
+        progressed = true;
+      }
+      if (consumed + 0.01 > budget_micros) {
+        progressed = false;
+        break;
+      }
+    }
+  }
+  return consumed;
+}
+
+void BM_UnaryDrainCopying(benchmark::State& state) {
+  std::vector<Event> batch;
+  std::vector<Event> scratch;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto query = MakeUnaryQuery();
+    FillSource(*query, kUnaryEvents);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        CopyingRunQuery(*query, kBudget, kCycleStart, &batch, &scratch));
+  }
+  state.SetItemsProcessed(state.iterations() * kUnaryEvents);
+}
+BENCHMARK(BM_UnaryDrainCopying)->Unit(benchmark::kMillisecond);
+
+void BM_UnaryDrainInPlace(benchmark::State& state) {
+  ExecutionContext context(/*slot=*/0);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto query = MakeUnaryQuery();
+    FillSource(*query, kUnaryEvents);
+    context.BeginCycle(kBudget, 1.0, kCycleStart);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        context.RunQuery(*query, 0, query->num_operators()));
+  }
+  state.SetItemsProcessed(state.iterations() * kUnaryEvents);
+}
+BENCHMARK(BM_UnaryDrainInPlace)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace klink

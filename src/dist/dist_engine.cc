@@ -111,10 +111,12 @@ void DistEngine::RunCycle() {
       const ExecutionContext::Egress to_link =
           [this, &q](int op_index, const std::vector<Event>& events,
                      TimeMicros at) {
-            const int down = q.edge(op_index).downstream;
+            const Query::Edge& edge = q.edge(op_index);
             for (const Event& e : events) {
-              transit_.push(Transit{at + config_.link_latency, transit_seq_++,
-                                    q.id(), down, e});
+              Transit t{at + config_.link_latency, transit_seq_++, q.id(),
+                        edge.downstream, e};
+              t.event.stream = edge.downstream_stream;
+              transit_.push(t);
             }
           };
       context_.BeginCycle(slot.budget_micros, multiplier, now_);
@@ -159,11 +161,9 @@ void DistEngine::Ingest() {
     int64_t& used = node_memory_[static_cast<size_t>(source_node)];
     const int64_t budget = host.config().memory_capacity_bytes - used;
     if (budget <= 0) continue;
-    feed_scratch_.clear();
-    dq.feed->PollUpTo(now_, budget, &feed_scratch_);
-    int64_t data = 0;
-    used += PushToSources(feed_scratch_, *dq.query, &source_scratch_, &data);
-    metrics_.AddIngested(data);
+    const EventFeed::Delivery d = dq.feed->DeliverUpTo(now_, budget, *dq.query);
+    used += d.bytes;
+    metrics_.AddIngested(d.data_events);
   }
 }
 

@@ -55,7 +55,7 @@ struct DistEngineConfig {
 /// the transit heap and the forwarding channels. A node drains its segment
 /// of a query with the single-node ExecutionContext::RunQuery, sees it
 /// through CollectQueryInfo restricted to the segment (RestrictQueryInfo),
-/// and ingests through the single-node PushToSources.
+/// and ingests through the feed's EventFeed::DeliverUpTo, as Engine does.
 class DistEngine {
  public:
   using PolicyFactory =
@@ -132,8 +132,6 @@ class DistEngine {
   ExecutionContext context_{/*slot=*/0};
   /// Memory held by each node's operators, kept current through ingest.
   std::vector<int64_t> node_memory_;
-  std::vector<EventFeed::FeedElement> feed_scratch_;
-  std::vector<std::vector<Event>> source_scratch_;
 };
 
 }  // namespace klink

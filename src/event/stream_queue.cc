@@ -67,10 +67,12 @@ void StreamQueue::Push(const Event& e) {
   ReportDelta(delta);
 }
 
-void StreamQueue::PushBatch(const Event* events, int64_t n) {
-  KLINK_CHECK_GE(n, 0);
-  int64_t delta = 0;
-  int64_t data = 0;
+void StreamQueue::AppendRun(const Event* events, int64_t n, int stream,
+                            int64_t* delta, int64_t* data) {
+  // Counted in locals: `*delta` could alias an Event field, which would
+  // force a store per element.
+  int64_t bytes = 0;
+  int64_t keyed = 0;
   int64_t i = 0;
   while (i < n) {
     const int64_t tail = head_ + size_;
@@ -84,15 +86,50 @@ void StreamQueue::PushBatch(const Event* events, int64_t n) {
     for (int64_t k = 0; k < run; ++k) {
       const Event& e = events[i + k];
       dst[k] = e;
-      delta += e.payload_bytes + kPerEventOverhead;
-      data += e.is_keyed_element() ? 1 : 0;
+      dst[k].stream = stream;
+      bytes += e.payload_bytes + kPerEventOverhead;
+      keyed += e.is_keyed_element() ? 1 : 0;
     }
     size_ += run;
     i += run;
   }
+  *delta += bytes;
+  *data += keyed;
+}
+
+void StreamQueue::PushBatch(const Event* events, int64_t n, int stream) {
+  KLINK_CHECK_GE(n, 0);
+  int64_t delta = 0;
+  int64_t data = 0;
+  AppendRun(events, n, stream, &delta, &data);
   bytes_ += delta;
   data_count_ += data;
   ReportDelta(delta);
+}
+
+void StreamQueue::MoveFrontTo(StreamQueue* dst, int64_t n) {
+  KLINK_CHECK(dst != this);
+  KLINK_CHECK(n >= 0 && n <= size_);
+  int64_t delta = 0;
+  int64_t data = 0;
+  int64_t remaining = n;
+  while (remaining > 0) {
+    const int64_t run = std::min(remaining, kChunkEvents - head_);
+    dst->AppendRun(&chunks_[chunk_head_]->events[head_], run, /*stream=*/0,
+                   &delta, &data);
+    head_ += run;
+    remaining -= run;
+    if (head_ == kChunkEvents) RetireFrontChunk();
+  }
+  size_ -= n;
+  if (size_ == 0) ReleaseChunks();
+  bytes_ -= delta;
+  data_count_ -= data;
+  KLINK_DCHECK(bytes_ >= 0);
+  ReportDelta(-delta);
+  dst->bytes_ += delta;
+  dst->data_count_ += data;
+  dst->ReportDelta(delta);
 }
 
 Event StreamQueue::Pop() {

@@ -1,9 +1,11 @@
 #ifndef KLINK_EVENT_STREAM_QUEUE_H_
 #define KLINK_EVENT_STREAM_QUEUE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "src/event/event.h"
@@ -55,8 +57,9 @@ class StreamQueue {
   /// Appends an element.
   void Push(const Event& e);
 
-  /// Appends `n` elements in order with one accounting update.
-  void PushBatch(const Event* events, int64_t n);
+  /// Appends `n` elements in order with one accounting update, setting
+  /// each copy's `stream` to `stream` (the consuming input's index).
+  void PushBatch(const Event* events, int64_t n, int stream);
 
   /// Removes and returns the front element. Requires !empty().
   Event Pop();
@@ -68,6 +71,26 @@ class StreamQueue {
 
   /// Returns the front element without removing it. Requires !empty().
   const Event& Front() const;
+
+  /// The contiguous run starting at the `i`-th element from the front:
+  /// every element from there to the end of its chunk or of the queue (at
+  /// most kChunkEvents), or an empty span when i == size(). Lets a
+  /// consumer read elements in place, chunk by chunk, and drop them
+  /// afterwards with PopBatch(nullptr, n). Valid until the next pop or
+  /// Clear(); pushes never move stored elements. Requires 0 <= i <= size().
+  std::span<const Event> RunAt(int64_t i) const {
+    if (i == size_) return {};
+    const int64_t g = head_ + i;
+    const int64_t offset = g & (kChunkEvents - 1);
+    return {&chunks_[ChunkIndexFor(g)]->events[offset],
+            static_cast<size_t>(std::min(size_ - i, kChunkEvents - offset))};
+  }
+
+  /// Moves the first `n` elements to the back of `dst`, in order and
+  /// stamped with stream 0, with one copy and one accounting pass for both
+  /// queues: the same result as dst->PushBatch(them, n, 0) followed by
+  /// PopBatch(nullptr, n). Requires 0 <= n <= size() and dst != this.
+  void MoveFrontTo(StreamQueue* dst, int64_t n);
 
   /// Returns the `i`-th element from the front. Requires 0 <= i < size().
   const Event& At(int64_t i) const {
@@ -149,6 +172,12 @@ class StreamQueue {
 
   /// Frees every chunk, the spare included. Called when the queue empties.
   void ReleaseChunks();
+
+  /// Appends `n` elements at the tail with `stream` set to `stream`,
+  /// adding their byte and data counts to `*delta` and `*data`; the
+  /// caller applies the accounting.
+  void AppendRun(const Event* events, int64_t n, int stream, int64_t* delta,
+                 int64_t* data);
 
   void ReportDelta(int64_t delta) {
     if (sink_ != nullptr && delta != 0) sink_->OnMemoryDelta(delta);

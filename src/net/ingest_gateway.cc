@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/query/query.h"
 #include "src/runtime/audit.h"
 
 namespace klink {
@@ -127,32 +129,60 @@ TimeMicros IngestGateway::PeekIngestTime(const Stream& s) const {
   return s.staged.OldestIngestTime();
 }
 
-bool IngestGateway::PopRun(Stream& s, TimeMicros through, int64_t max_bytes,
-                           int64_t* delivered, int source_index,
-                           std::vector<EventFeed::FeedElement>* out) {
-  int64_t n = 0;
+IngestGateway::Run IngestGateway::DueRun(const Stream& s, TimeMicros through,
+                                         int64_t max_bytes,
+                                         int64_t* delivered) const {
+  Run run;
   int64_t bytes = *delivered;
-  bool budget_stop = false;
-  for (; n < s.staged.size(); ++n) {
-    const Event& e = s.staged.At(n);
-    if (e.ingest_time > through) break;
-    const int64_t sz = StagedCost(e);
-    if (bytes > 0 && bytes + sz > max_bytes) {
-      budget_stop = true;
-      break;
+  // Chunk by chunk: a staged run can span many 256-element chunks.
+  for (std::span<const Event> chunk = s.staged.RunAt(0); !chunk.empty();
+       chunk = s.staged.RunAt(run.length)) {
+    for (const Event& e : chunk) {
+      if (e.ingest_time > through) {
+        *delivered = bytes;
+        return run;
+      }
+      const int64_t sz = StagedCost(e);
+      if (bytes > 0 && bytes + sz > max_bytes) {
+        run.budget_stop = true;
+        *delivered = bytes;
+        return run;
+      }
+      bytes += sz;
+      ++run.length;
+      if (e.is_data()) ++run.data_events;
     }
-    bytes += sz;
-    out->push_back(EventFeed::FeedElement{source_index, e});
   }
   *delivered = bytes;
-  if (n == 0) return !budget_stop;
-  s.staged.PopBatch(nullptr, n);  // already copied out above
+  return run;
+}
+
+void IngestGateway::PopRun(Stream& s, int64_t n, int source_index,
+                           std::vector<EventFeed::FeedElement>* out) {
+  for (int64_t i = 0; i < n;) {
+    const std::span<const Event> chunk = s.staged.RunAt(i);
+    const int64_t k = std::min(n - i, static_cast<int64_t>(chunk.size()));
+    for (int64_t j = 0; j < k; ++j) {
+      out->push_back(
+          EventFeed::FeedElement{source_index, chunk[static_cast<size_t>(j)]});
+    }
+    i += k;
+  }
+  s.staged.PopBatch(nullptr, n);
+  AdvanceCursor(s, n);
+}
+
+void IngestGateway::PopRun(Stream& s, int64_t n, StreamQueue* to) {
+  s.staged.MoveFrontTo(to, n);
+  AdvanceCursor(s, n);
+}
+
+void IngestGateway::AdvanceCursor(Stream& s, int64_t n) {
   // Seqs are contiguous and every accepted element passes through the
   // staging queue exactly once, so the delivered cursor advances by the
   // run length.
   s.delivered_seq += static_cast<uint64_t>(n);
   AuditStream(s);
-  return !budget_stop;
 }
 
 uint64_t IngestGateway::last_seq_received(uint32_t stream_id) const {
@@ -213,8 +243,8 @@ NetworkFeed::NetworkFeed(IngestGateway* gateway,
   }
 }
 
-void NetworkFeed::PollUpTo(TimeMicros now, int64_t max_bytes,
-                           std::vector<FeedElement>* out) {
+template <typename Take>
+int64_t NetworkFeed::MergeDue(TimeMicros now, int64_t max_bytes, Take&& take) {
   // Merge the feed's streams in ingestion order, delivering elements due
   // by `now` under the same byte-budget rule as SyntheticFeed::PollUpTo
   // (always at least one element, stop before exceeding the budget). The
@@ -246,11 +276,37 @@ void NetworkFeed::PollUpTo(TimeMicros now, int64_t max_bytes,
     // inclusive only when best wins the index tie-break.
     const TimeMicros through =
         next < 0 ? now : (best < next ? next_time : next_time - 1);
-    if (!gateway_->PopRun(*streams_[static_cast<size_t>(best)], through,
-                          max_bytes, &delivered, best, out)) {
-      break;
-    }
+    IngestGateway::Stream& s = *streams_[static_cast<size_t>(best)];
+    const IngestGateway::Run run =
+        gateway_->DueRun(s, through, max_bytes, &delivered);
+    if (run.length > 0) take(best, s, run);
+    if (run.budget_stop) break;
   }
+  return delivered;
+}
+
+void NetworkFeed::PollUpTo(TimeMicros now, int64_t max_bytes,
+                           std::vector<FeedElement>* out) {
+  MergeDue(now, max_bytes,
+           [this, out](int i, IngestGateway::Stream& s,
+                       const IngestGateway::Run& run) {
+             gateway_->PopRun(s, run.length, i, out);
+           });
+}
+
+EventFeed::Delivery NetworkFeed::DeliverUpTo(TimeMicros now,
+                                             int64_t max_bytes, Query& query) {
+  const auto& sources = query.sources();
+  KLINK_CHECK_LE(streams_.size(), sources.size());
+  Delivery d;
+  d.bytes = MergeDue(
+      now, max_bytes,
+      [&](int i, IngestGateway::Stream& s, const IngestGateway::Run& run) {
+        gateway_->PopRun(s, run.length,
+                         &sources[static_cast<size_t>(i)]->input(0));
+        d.data_events += run.data_events;
+      });
+  return d;
 }
 
 int64_t NetworkFeed::generated_events() const {

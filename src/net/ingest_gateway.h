@@ -37,8 +37,8 @@ struct IngestStreamConfig {
 
 /// Bridges decoded wire frames into the engine: one staging StreamQueue
 /// ring buffer per registered stream, filled element by element by the
-/// IngestServer's decode path and drained a run at a time (PopRun) by a
-/// NetworkFeed on the engine side.
+/// IngestServer's decode path and drained a run at a time (DueRun +
+/// PopRun) by a NetworkFeed on the engine side.
 ///
 /// Credit-based backpressure (DESIGN.md "Network ingest"): the server asks
 /// HasCredit() before decoding each element frame; when the staging queue
@@ -124,16 +124,29 @@ class IngestGateway {
   /// Ingest time of the oldest staged element, or kNoTime when empty.
   TimeMicros PeekIngestTime(uint32_t stream_id) const;
   TimeMicros PeekIngestTime(const Stream& s) const;
-  /// Pops the stream's longest front run of elements with ingest_time <=
-  /// `through`, appending them to `out` tagged with `source_index`, under
-  /// the EventFeed byte rule: `*delivered` counts the poll's bytes so far,
-  /// and an element is taken only while the poll is empty or it still fits
-  /// `max_bytes`. One PopBatch and one cursor/audit update per run: this
-  /// is the only place the replay cursor advances. Returns false when the
-  /// byte rule, not the run's end, stopped it.
-  bool PopRun(Stream& s, TimeMicros through, int64_t max_bytes,
-              int64_t* delivered, int source_index,
+  /// A due run at the front of a stream's staging queue (see DueRun).
+  struct Run {
+    int64_t length = 0;
+    /// kData elements among them.
+    int64_t data_events = 0;
+    /// True when the byte rule, not the run's end, cut the run.
+    bool budget_stop = false;
+  };
+  /// Measures the stream's longest front run of elements with ingest_time
+  /// <= `through` under the EventFeed byte rule: `*delivered` counts the
+  /// poll's bytes so far (and grows by the run's), and an element is taken
+  /// only while the poll is empty or it still fits `max_bytes`. Pops
+  /// nothing; hand the run's length to one of the PopRun overloads.
+  Run DueRun(const Stream& s, TimeMicros through, int64_t max_bytes,
+             int64_t* delivered) const;
+  /// Pops the stream's first `n` staged elements, copying them to `out`
+  /// tagged with `source_index`...
+  void PopRun(Stream& s, int64_t n, int source_index,
               std::vector<EventFeed::FeedElement>* out);
+  /// ...or moving them into `to` (StreamQueue::MoveFrontTo), the only copy
+  /// between the socket's decode and the source operator. Both advance
+  /// the replay cursor: this is the only place it moves.
+  void PopRun(Stream& s, int64_t n, StreamQueue* to);
 
   int64_t staged_bytes(uint32_t stream_id) const;
   int64_t staged_events(uint32_t stream_id) const;
@@ -170,6 +183,10 @@ class IngestGateway {
  private:
   const Stream& GetStream(uint32_t stream_id) const;
 
+  /// Advances the stream's replay cursor past `n` elements PopRun handed
+  /// over.
+  void AdvanceCursor(Stream& s, int64_t n);
+
   /// KLINK_AUDIT=1: cross-checks one stream's staging accounting (ring
   /// buffer bytes and data count vs full recompute) at run and drain
   /// boundaries. No-op when auditing is off.
@@ -196,6 +213,9 @@ class NetworkFeed final : public EventFeed {
 
   void PollUpTo(TimeMicros now, int64_t max_bytes,
                 std::vector<FeedElement>* out) override;
+  /// Moves each due run from its staging queue into the source queue.
+  Delivery DeliverUpTo(TimeMicros now, int64_t max_bytes,
+                       Query& query) override;
   int64_t generated_events() const override;
 
   /// Min arrival progress across this feed's streams (see
@@ -203,6 +223,12 @@ class NetworkFeed final : public EventFeed {
   TimeMicros SafeThrough() const;
 
  private:
+  /// The merge both entry points share: hands each due run, in merge
+  /// order, to `take(stream index, stream, run)`, which must pop it.
+  /// Returns the bytes delivered.
+  template <typename Take>
+  int64_t MergeDue(TimeMicros now, int64_t max_bytes, Take&& take);
+
   IngestGateway* gateway_;
   std::vector<IngestGateway::Stream*> streams_;  // resolved once
 };

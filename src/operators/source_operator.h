@@ -1,6 +1,7 @@
 #ifndef KLINK_OPERATORS_SOURCE_OPERATOR_H_
 #define KLINK_OPERATORS_SOURCE_OPERATOR_H_
 
+#include <cstdint>
 #include <string>
 
 #include "src/operators/operator.h"
@@ -19,6 +20,10 @@ class SourceOperator final : public Operator {
 
   /// Network delay of the most recently processed data element, or -1.
   DurationMicros last_network_delay() const { return last_network_delay_; }
+
+  /// Forwards each run of data elements with one EmitDataRun.
+  void ProcessBatch(const Event* events, int64_t n, BatchClock& clock,
+                    Emitter& out) override;
 
  protected:
   void OnData(const Event& e, TimeMicros now, Emitter& out) override;

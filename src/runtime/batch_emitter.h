@@ -31,33 +31,42 @@ class QueueEmitter final : public Emitter {
   int stream_;
 };
 
-/// Buffering emitter for the batched drain: outputs accumulate in a
-/// borrowed scratch vector (stamped with the downstream stream index) and
-/// Flush() appends the whole run to the downstream queue with a single
-/// StreamQueue::PushBatch — one byte/data-count accounting update instead
-/// of one per element. Order-equivalent to QueueEmitter because the drain
-/// flushes before any downstream operator runs, and operators never read
-/// their own output queue.
+/// Emitter for the batched drain. A run (EmitRun) goes straight into the
+/// downstream queue with one StreamQueue::PushBatch; single outputs
+/// (Emit) accumulate in a borrowed scratch vector that Flush() appends
+/// with one PushBatch, and a run flushes them first, so queue order is
+/// emit order. PushBatch stamps each element with the downstream stream
+/// index as it copies it. One byte/data-count accounting update per run
+/// or flush instead of one per element. Order-equivalent to QueueEmitter
+/// because the drain flushes before any downstream operator runs, and
+/// operators never read their own output queue. With `direct_runs` false
+/// runs are buffered too, unstamped, for an edge whose outputs are handed
+/// off from the scratch instead of flushed (ExecutionContext::RunQuery's
+/// egress).
 class BatchEmitter final : public Emitter {
  public:
-  BatchEmitter(StreamQueue* queue, int stream, std::vector<Event>* scratch)
-      : queue_(queue), stream_(stream), scratch_(scratch) {
+  BatchEmitter(StreamQueue* queue, int stream, std::vector<Event>* scratch,
+               bool direct_runs = true)
+      : queue_(queue),
+        stream_(stream),
+        scratch_(scratch),
+        direct_runs_(direct_runs) {
     scratch_->clear();
   }
 
   void Emit(const Event& e) override {
     if (queue_ == nullptr) return;  // sink: outputs leave the system
     scratch_->push_back(e);
-    scratch_->back().stream = stream_;
   }
 
   void EmitRun(const Event* events, int64_t n) override {
     if (queue_ == nullptr) return;
-    const size_t old_size = scratch_->size();
-    scratch_->insert(scratch_->end(), events, events + n);
-    for (size_t i = old_size; i < scratch_->size(); ++i) {
-      (*scratch_)[i].stream = stream_;
+    if (direct_runs_) {
+      Flush();
+      queue_->PushBatch(events, n, stream_);
+      return;
     }
+    scratch_->insert(scratch_->end(), events, events + n);
   }
 
   /// Appends everything buffered to the downstream queue and resets the
@@ -66,7 +75,8 @@ class BatchEmitter final : public Emitter {
   /// bounds the scratch at batch size x operator fan-out.
   void Flush() {
     if (queue_ == nullptr || scratch_->empty()) return;
-    queue_->PushBatch(scratch_->data(), static_cast<int64_t>(scratch_->size()));
+    queue_->PushBatch(scratch_->data(), static_cast<int64_t>(scratch_->size()),
+                      stream_);
     scratch_->clear();
   }
 
@@ -74,6 +84,7 @@ class BatchEmitter final : public Emitter {
   StreamQueue* queue_;
   int stream_;
   std::vector<Event>* scratch_;
+  bool direct_runs_;
 };
 
 }  // namespace klink

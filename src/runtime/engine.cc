@@ -9,34 +9,6 @@
 
 namespace klink {
 
-int64_t PushToSources(const std::vector<EventFeed::FeedElement>& poll,
-                      Query& query, std::vector<std::vector<Event>>* scratch,
-                      int64_t* data_events) {
-  // Partition the poll by source, keeping feed order, so each source queue
-  // takes one PushBatch (one accounting update, one memory-sink delta) and
-  // sees its elements in feed order.
-  const auto& sources = query.sources();
-  if (scratch->size() < sources.size()) scratch->resize(sources.size());
-  int64_t added = 0;
-  for (const EventFeed::FeedElement& fe : poll) {
-    KLINK_CHECK(fe.source_index >= 0 &&
-                fe.source_index < static_cast<int>(sources.size()));
-    std::vector<Event>& run = (*scratch)[static_cast<size_t>(fe.source_index)];
-    run.push_back(fe.event);
-    run.back().stream = 0;  // source operators are unary
-    added += fe.event.payload_bytes + StreamQueue::kPerEventOverhead;
-    if (fe.event.is_data()) ++*data_events;
-  }
-  for (size_t i = 0; i < sources.size(); ++i) {
-    std::vector<Event>& run = (*scratch)[i];
-    if (run.empty()) continue;
-    sources[i]->input(0).PushBatch(run.data(),
-                                   static_cast<int64_t>(run.size()));
-    run.clear();
-  }
-  return added;
-}
-
 void EngineConfig::Validate() const {
   KLINK_CHECK_GE(num_cores, 1);
   KLINK_CHECK_GT(cycle_length, 0);
@@ -275,18 +247,15 @@ int64_t Engine::Ingest() {
   for (const QueryFabric::LiveQuery& lq : fabric_.fed()) {
     if (budget <= 0) break;
     if (now_ < lq.query->deploy_time()) continue;
-    feed_scratch_.clear();
-    lq.feed->PollUpTo(now_, budget, &feed_scratch_);
-    if (feed_scratch_.empty()) continue;
-    int64_t data = 0;
-    const int64_t added_total =
-        PushToSources(feed_scratch_, *lq.query, &source_scratch_, &data);
-    budget -= added_total;
-    memory_usage_ += added_total;
-    AccountedBytes(lq.id) += added_total;
+    const EventFeed::Delivery d =
+        lq.feed->DeliverUpTo(now_, budget, *lq.query);
+    if (d.bytes == 0) continue;  // nothing due (every element has bytes)
+    budget -= d.bytes;
+    memory_usage_ += d.bytes;
+    AccountedBytes(lq.id) += d.bytes;
     // Only source queues grew: the snapshot refreshes this entry from them.
     fabric_.MarkIngested(lq.id);
-    metrics_.AddIngested(data);
+    metrics_.AddIngested(d.data_events);
   }
   return memory_usage_;
 }

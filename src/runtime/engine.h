@@ -52,14 +52,6 @@ struct EngineConfig {
   void Validate() const;
 };
 
-/// Appends one feed poll to `query`'s source queues, one PushBatch per
-/// source in feed order; `scratch` keeps the per-source runs' allocations
-/// between calls. Returns the queue bytes added and counts the poll's data
-/// events into `*data_events`. Shared by Engine and DistEngine ingest.
-int64_t PushToSources(const std::vector<EventFeed::FeedElement>& poll,
-                      Query& query, std::vector<std::vector<Event>>* scratch,
-                      int64_t* data_events);
-
 /// The stream processing engine: a virtual-time, state-based-scheduled SPE
 /// (Sec. 5), layered as orchestration (this class) over policy
 /// (sched/policy.h) over execution (runtime/executor.h). Each scheduling
@@ -216,9 +208,6 @@ class Engine {
   std::vector<AccountedMemory> accounted_mem_;
   /// Accounted bytes of live query `id` (which must be accounted).
   int64_t& AccountedBytes(QueryId id);
-  std::vector<EventFeed::FeedElement> feed_scratch_;
-  /// Ingest's per-source partition of feed_scratch_, indexed by source.
-  std::vector<std::vector<Event>> source_scratch_;
   Selection selection_scratch_;
   std::vector<ExecutorTask> tasks_scratch_;
   RuntimeSnapshot snapshot_scratch_;

@@ -1,6 +1,7 @@
 #include "src/runtime/execution_context.h"
 
 #include <algorithm>
+#include <span>
 
 #include "src/common/check.h"
 #include "src/runtime/audit.h"
@@ -9,9 +10,11 @@
 namespace klink {
 namespace {
 
-/// Elements popped per ProcessBatch call. Bounds the pop scratch (and the
-/// emit scratch at kMaxBatch x fan-out) while staying large enough that
-/// per-batch overhead is negligible against per-element work.
+/// Elements per multi-input ProcessBatch call. Bounds the gather scratch
+/// (and the emit scratch at kMaxBatch x fan-out) while staying large
+/// enough that per-batch overhead is negligible against per-element work.
+/// A unary batch is read in place and ends at the queue's chunk boundary
+/// instead (StreamQueue::kChunkEvents, smaller).
 constexpr int64_t kMaxBatch = 512;
 
 }  // namespace
@@ -33,9 +36,6 @@ double ExecutionContext::RunQuery(Query& query, int begin, int end,
   double consumed = 0.0;
   bool progressed = true;
   int64_t processed = 0;
-  if (batch_.size() < static_cast<size_t>(kMaxBatch)) {
-    batch_.resize(static_cast<size_t>(kMaxBatch));
-  }
   // Repeated topological sweeps: a sweep cascades events downstream; any
   // leftover upstream work (budget permitting) is picked up by the next
   // sweep. Stops when the budget is exhausted or all queues drained.
@@ -48,14 +48,14 @@ double ExecutionContext::RunQuery(Query& query, int begin, int end,
           edge.downstream == -1
               ? nullptr
               : &query.op(edge.downstream).input(edge.downstream_stream);
-      BatchEmitter batch_emitter(downstream_queue, edge.downstream_stream,
-                                 &emit_scratch_);
       // An edge leaving the range with an egress given: its batches are
       // handed over instead of flushed, so the downstream queue is never
       // touched.
       const bool to_egress =
           egress != nullptr && edge.downstream != -1 &&
           (edge.downstream < begin || edge.downstream >= end);
+      BatchEmitter batch_emitter(downstream_queue, edge.downstream_stream,
+                                 &emit_scratch_, /*direct_runs=*/!to_egress);
       const auto flush = [&] {
         if (!to_egress) {
           batch_emitter.Flush();
@@ -76,10 +76,15 @@ double ExecutionContext::RunQuery(Query& query, int begin, int end,
       if (op.num_inputs() == 1) {
         // Batched fast path: a unary operator always pops its single
         // input FIFO, so the earliest-ingest scan is unnecessary and a
-        // whole run can be popped, processed, and emitted at once.
+        // whole run is processed in place, straight out of the queue's
+        // front chunk, then dropped (processing never touches the
+        // operator's own input). A batch therefore ends at a chunk
+        // boundary (at most kChunkEvents elements); BatchClock charges per
+        // element, so where a batch ends does not change any result.
         StreamQueue& in = op.input(0);
         while (true) {
-          const int64_t avail = std::min(in.size(), kMaxBatch);
+          const std::span<const Event> run = in.RunAt(0);
+          const int64_t avail = static_cast<int64_t>(run.size());
           // Size the batch by replaying the scalar loop's budget
           // additions: the same floats added in the same order, so the
           // batch ends exactly where the scalar loop would stop.
@@ -90,13 +95,20 @@ double ExecutionContext::RunQuery(Query& query, int begin, int end,
             ++n;
           }
           if (n == 0) break;
-          const int64_t got = in.PopBatch(batch_.data(), n);
-          for (int64_t k = 0; k < got; ++k) batch_[k].stream = 0;
+          if (audit_) {
+            // Unary inputs hold stream-0 elements only: every producer
+            // stamps the consuming input's index, and the batch is read
+            // in place, with no re-stamping copy in between.
+            for (const Event& e : run.first(static_cast<size_t>(n))) {
+              KLINK_CHECK_EQ(e.stream, 0);
+            }
+          }
           BatchClock clock(cycle_start_, consumed, cost);
-          op.ProcessBatch(batch_.data(), got, clock, emitter);
+          op.ProcessBatch(run.data(), n, clock, emitter);
           consumed = clock.consumed_micros();
+          in.PopBatch(nullptr, n);
           flush();
-          processed += got;
+          processed += n;
           progressed = true;
         }
       } else {
@@ -113,6 +125,7 @@ double ExecutionContext::RunQuery(Query& query, int begin, int end,
         const int num_inputs = op.num_inputs();
         inputs_.resize(static_cast<size_t>(num_inputs));
         taken_.resize(static_cast<size_t>(num_inputs));
+        batch_.resize(static_cast<size_t>(kMaxBatch));
         bool barrier = true;  // inputs not resolved yet
         while (true) {
           if (barrier) {

@@ -24,8 +24,9 @@ namespace klink {
 class ExecutionContext {
  public:
   /// Receives one flushed batch of an edge leaving the drained range: the
-  /// emitting operator's index, its outputs (already stamped with the
-  /// downstream input stream), and the virtual time the batch finished.
+  /// emitting operator's index, its outputs (their `stream` not yet set to
+  /// the downstream input's index: the receiver stamps it from the edge),
+  /// and the virtual time the batch finished.
   using Egress = std::function<void(int op_index,
                                     const std::vector<Event>& events,
                                     TimeMicros at)>;
@@ -43,11 +44,13 @@ class ExecutionContext {
   /// (budget permitting) is picked up by the next sweep. Returns the
   /// virtual micros consumed and updates the slot counters.
   ///
-  /// Every operator drains through the batched path (PopBatch ->
-  /// ProcessBatch -> buffered flush). Unary operators pop their single
-  /// input; multi-input operators (joins) gather a batch in the scalar
-  /// earliest-ingest interleave order, run by run across inputs, ending a
-  /// batch after each checkpoint barrier. Both charge the identical
+  /// Every operator drains through the batched path (ProcessBatch ->
+  /// PopBatch -> buffered flush). Unary operators process the run at the
+  /// front of their single input in place (StreamQueue::RunAt), so an
+  /// element is never copied out of the queue it waited in; multi-input
+  /// operators (joins) gather a batch in the scalar earliest-ingest
+  /// interleave order, run by run across inputs, ending a batch after
+  /// each checkpoint barrier. Both charge the identical
   /// per-element virtual-time sequence, so results are byte-identical to
   /// the scalar drain (DESIGN.md "Hot path";
   /// tests/multi_input_drain_test.cc keeps that drain as the oracle).
@@ -89,9 +92,9 @@ class ExecutionContext {
   int64_t processed_events_ = 0;
   double cycle_busy_micros_ = 0.0;
   int64_t cycle_processed_events_ = 0;
-  /// Per-slot scratch buffers for the batched drain (popped inputs and
-  /// buffered outputs). Slot-local, so thread-pool execution needs no
-  /// synchronization around them.
+  /// Per-slot scratch buffers for the batched drain (a multi-input
+  /// operator's gathered batch and buffered outputs). Slot-local, so
+  /// thread-pool execution needs no synchronization around them.
   std::vector<Event> batch_;
   std::vector<Event> emit_scratch_;
   /// Input queues of the multi-input operator being drained (null while

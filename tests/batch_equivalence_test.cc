@@ -25,7 +25,9 @@
 #include "src/operators/operator.h"
 #include "src/operators/reorder_operator.h"
 #include "src/operators/session_window_operator.h"
+#include "src/operators/source_operator.h"
 #include "src/query/pipeline_builder.h"
+#include "src/runtime/batch_emitter.h"
 #include "src/runtime/engine.h"
 #include "src/window/window_assigner.h"
 #include "src/workloads/workload.h"
@@ -80,29 +82,33 @@ void ExpectSameEvents(const std::vector<Event>& a, const std::vector<Event>& b) 
 
 /// Runs the same sequence through a scalar-driven copy and a batch-driven
 /// copy of the operator and asserts full equivalence.
-void CheckEquivalence(std::unique_ptr<Operator> scalar_op,
-                      std::unique_ptr<Operator> batch_op,
-                      const std::vector<Event>& events,
-                      double cost = 1.7) {
+void CheckEquivalence(Operator& scalar_op, Operator& batch_op,
+                      const std::vector<Event>& events, double cost = 1.7) {
   VectorEmitter scalar_out;
   double consumed = 0.0;
   for (const Event& e : events) {
     consumed += cost;
     const TimeMicros now = kCycleStart + static_cast<TimeMicros>(consumed);
-    scalar_op->Process(e, now, scalar_out);
+    scalar_op.Process(e, now, scalar_out);
   }
 
   VectorEmitter batch_out;
   BatchClock clock(kCycleStart, 0.0, cost);
-  batch_op->ProcessBatch(events.data(), static_cast<int64_t>(events.size()),
-                         clock, batch_out);
+  batch_op.ProcessBatch(events.data(), static_cast<int64_t>(events.size()),
+                        clock, batch_out);
 
   EXPECT_EQ(clock.consumed_micros(), consumed);
   ExpectSameEvents(scalar_out.events, batch_out.events);
-  EXPECT_EQ(scalar_op->processed_data_count(), batch_op->processed_data_count());
-  EXPECT_EQ(scalar_op->emitted_data_count(), batch_op->emitted_data_count());
-  EXPECT_EQ(scalar_op->StateBytes(), batch_op->StateBytes());
-  EXPECT_EQ(scalar_op->forwarded_watermarks(), batch_op->forwarded_watermarks());
+  EXPECT_EQ(scalar_op.processed_data_count(), batch_op.processed_data_count());
+  EXPECT_EQ(scalar_op.emitted_data_count(), batch_op.emitted_data_count());
+  EXPECT_EQ(scalar_op.StateBytes(), batch_op.StateBytes());
+  EXPECT_EQ(scalar_op.forwarded_watermarks(), batch_op.forwarded_watermarks());
+}
+
+void CheckEquivalence(std::unique_ptr<Operator> scalar_op,
+                      std::unique_ptr<Operator> batch_op,
+                      const std::vector<Event>& events, double cost = 1.7) {
+  CheckEquivalence(*scalar_op, *batch_op, events, cost);
 }
 
 TEST(BatchEquivalenceTest, IdentityMap) {
@@ -205,6 +211,31 @@ TEST(BatchEquivalenceTest, ChainedOperators) {
   CheckEquivalence(make(), make(), events);
 }
 
+TEST(BatchEquivalenceTest, Source) {
+  // Data runs interleaved with watermarks, latency markers and checkpoint
+  // barriers: each data run is forwarded with one EmitDataRun, the rest
+  // goes through Process, and the last data element's network delay must
+  // survive exactly as the scalar loop's per-element overwrites leave it.
+  auto events = MakeSequence(12, 4000);
+  Rng rng(12);
+  uint64_t epoch = 0;
+  for (size_t i = 0; i < events.size(); i += 50 + rng.NextUint64() % 200) {
+    events.insert(events.begin() + static_cast<std::ptrdiff_t>(i),
+                  MakeCheckpointBarrier(++epoch, events[i].ingest_time));
+  }
+  ASSERT_GT(epoch, 10u);
+  SourceOperator scalar_src("src", 0.8);
+  SourceOperator batch_src("src", 0.8);
+  CheckEquivalence(scalar_src, batch_src, events);
+  EXPECT_NE(batch_src.last_network_delay(), -1);
+  EXPECT_EQ(scalar_src.last_network_delay(), batch_src.last_network_delay());
+  StateWriter scalar_state;
+  StateWriter batch_state;
+  scalar_src.Serialize(scalar_state);
+  batch_src.Serialize(batch_state);
+  EXPECT_EQ(scalar_state.TakeBytes(), batch_state.TakeBytes());
+}
+
 TEST(BatchEquivalenceTest, BaseClassFallback) {
   // An operator without a ProcessBatch override runs the scalar loop via
   // the base class; equivalence is by construction but guards the default.
@@ -215,6 +246,43 @@ TEST(BatchEquivalenceTest, BaseClassFallback) {
   const auto events = MakeSequence(10, 2000);
   CheckEquivalence(std::make_unique<PassThrough>(),
                    std::make_unique<PassThrough>(), events);
+}
+
+TEST(BatchEquivalenceTest, EmitterRunsAndSinglesKeepEmitOrder) {
+  // BatchEmitter appends runs straight to the queue and buffers single
+  // outputs until Flush (or the next run): whatever the mix, with runs
+  // direct or buffered, the queue must end up as the one-at-a-time
+  // QueueEmitter leaves it, stamped with the downstream stream index.
+  const auto events = MakeSequence(13, 3000);
+  Rng rng(13);
+  for (const bool direct_runs : {true, false}) {
+    SCOPED_TRACE(direct_runs ? "direct runs" : "buffered runs");
+    StreamQueue want;
+    StreamQueue got;
+    QueueEmitter scalar(&want, /*stream=*/2);
+    std::vector<Event> scratch;
+    BatchEmitter batch(&got, /*stream=*/2, &scratch, direct_runs);
+    for (size_t i = 0; i < events.size();) {
+      const size_t n = std::min<size_t>(events.size() - i,
+                                        static_cast<size_t>(rng.NextInt(1, 40)));
+      if (rng.NextInt(0, 1) == 0) {
+        batch.EmitRun(&events[i], static_cast<int64_t>(n));
+      } else {
+        for (size_t k = i; k < i + n; ++k) batch.Emit(events[k]);
+      }
+      for (size_t k = i; k < i + n; ++k) scalar.Emit(events[k]);
+      if (rng.NextInt(0, 3) == 0) batch.Flush();
+      i += n;
+    }
+    batch.Flush();
+    std::vector<Event> want_events(static_cast<size_t>(want.size()));
+    std::vector<Event> got_events(static_cast<size_t>(got.size()));
+    EXPECT_EQ(got.bytes(), want.bytes());
+    EXPECT_EQ(got.data_count(), want.data_count());
+    want.PopBatch(want_events.data(), want.size());
+    got.PopBatch(got_events.data(), got.size());
+    ExpectSameEvents(want_events, got_events);
+  }
 }
 
 TEST(BatchEquivalenceTest, QueryMemoryCounterStaysExact) {

@@ -69,16 +69,17 @@ struct SinkSnapshot {
 };
 
 /// Pops `stream`'s staged elements, in order, through the feed's run path
-/// (IngestGateway::PopRun, which keeps the replay cursor). The first
-/// element is always taken, so a `max_bytes` of 1 pops exactly one.
+/// (IngestGateway::DueRun + PopRun, which keeps the replay cursor). The
+/// first element is always taken, so a `max_bytes` of 1 pops exactly one.
 std::vector<Event> PopStaged(
     IngestGateway& gateway, uint32_t stream,
     int64_t max_bytes = std::numeric_limits<int64_t>::max()) {
   std::vector<EventFeed::FeedElement> run;
   int64_t delivered = 0;
-  gateway.PopRun(gateway.Resolve(stream),
-                 std::numeric_limits<TimeMicros>::max(), max_bytes,
-                 &delivered, /*source_index=*/0, &run);
+  IngestGateway::Stream& s = gateway.Resolve(stream);
+  const IngestGateway::Run due = gateway.DueRun(
+      s, std::numeric_limits<TimeMicros>::max(), max_bytes, &delivered);
+  gateway.PopRun(s, due.length, /*source_index=*/0, &run);
   std::vector<Event> events;
   for (const EventFeed::FeedElement& fe : run) events.push_back(fe.event);
   return events;

@@ -29,9 +29,14 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
+// Not inlined: where gcc sees the free() inside a caller that got its
+// pointer from operator new, -Wmismatched-new-delete fires (under ASan's
+// inlining), although this file's operator new is malloc.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 
-void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t /*size*/) noexcept {
+  std::free(p);
+}
 
 namespace klink {
 namespace {

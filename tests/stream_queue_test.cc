@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -166,7 +167,8 @@ TEST(StreamQueueTest, PushBatchMatchesScalarPushes) {
   StreamQueue scalar;
   StreamQueue batched;
   for (const Event& e : events) scalar.Push(e);
-  batched.PushBatch(events.data(), static_cast<int64_t>(events.size()));
+  batched.PushBatch(events.data(), static_cast<int64_t>(events.size()),
+                    /*stream=*/3);
   ASSERT_EQ(batched.size(), scalar.size());
   EXPECT_EQ(batched.bytes(), scalar.bytes());
   EXPECT_EQ(batched.data_count(), scalar.data_count());
@@ -176,6 +178,7 @@ TEST(StreamQueueTest, PushBatchMatchesScalarPushes) {
     ASSERT_EQ(a.kind, b.kind);
     ASSERT_EQ(a.key, b.key);
     ASSERT_EQ(a.event_time, b.event_time);
+    ASSERT_EQ(b.stream, 3);  // stamped as copied
   }
 }
 
@@ -294,7 +297,7 @@ TEST(StreamQueueTest, InterleavedOpsKeepInvariants) {
                               : MakeDataEvent(step, step,
                                               rng.NextUint64() % 1000, 1.0));
       }
-      q.PushBatch(scratch.data(), n);
+      q.PushBatch(scratch.data(), n, /*stream=*/0);
       ref.insert(ref.end(), scratch.begin(), scratch.end());
     } else if (rng.NextInt(0, 199) == 0) {
       q.Clear();
@@ -368,12 +371,89 @@ TEST(StreamQueueTest, BoundSinkObservesAllDeltas) {
   const int64_t pre_bind = q.bytes();
   q.BindAccounting(&sink);
   std::vector<Event> batch(50, MakeDataEvent(1, 1, 1, 1.0));
-  q.PushBatch(batch.data(), 50);
+  q.PushBatch(batch.data(), 50, /*stream=*/0);
   q.Pop();
   q.PopBatch(batch.data(), 20);
   EXPECT_EQ(pre_bind + sink.total, q.bytes());
   q.Clear();
   EXPECT_EQ(pre_bind + sink.total, 0);
+}
+
+TEST(StreamQueueTest, RunAtCoversTheQueueChunkByChunk) {
+  StreamQueue q;
+  for (int i = 0; i < 1000; ++i) q.Push(MakeDataEvent(i, i, i, 0.0));
+  q.PopBatch(nullptr, 100);  // the front sits mid-chunk
+  EXPECT_EQ(q.RunAt(0).size(),
+            static_cast<size_t>(StreamQueue::kChunkEvents - 100));
+  uint64_t next = 100;
+  for (int64_t i = 0; i < q.size();) {
+    const std::span<const Event> run = q.RunAt(i);
+    ASSERT_FALSE(run.empty());
+    ASSERT_LE(run.size(), static_cast<size_t>(StreamQueue::kChunkEvents));
+    for (const Event& e : run) EXPECT_EQ(e.key, next++);
+    i += static_cast<int64_t>(run.size());
+  }
+  EXPECT_EQ(next, 1000u);
+  EXPECT_TRUE(q.RunAt(q.size()).empty());
+  EXPECT_TRUE(StreamQueue().RunAt(0).empty());
+}
+
+TEST(StreamQueueTest, MoveFrontToMatchesPushThenPop) {
+  // Random sizes and offsets on both sides: the moved elements, both
+  // queues' counters and both sinks' totals must equal what PushBatch of
+  // the front elements (stamped stream 0) followed by PopBatch(nullptr, n)
+  // leaves.
+  Rng rng(17);
+  RecordingSink from_sink;
+  RecordingSink to_sink;
+  RecordingSink want_from_sink;
+  RecordingSink want_to_sink;
+  StreamQueue from;
+  StreamQueue to;
+  StreamQueue want_from;
+  StreamQueue want_to;
+  from.BindAccounting(&from_sink);
+  to.BindAccounting(&to_sink);
+  want_from.BindAccounting(&want_from_sink);
+  want_to.BindAccounting(&want_to_sink);
+  uint64_t tag = 0;
+  for (int round = 0; round < 400; ++round) {
+    const int64_t pushes = rng.NextInt(0, 600);
+    for (int64_t k = 0; k < pushes; ++k) {
+      Event e = rng.NextInt(0, 9) == 0
+                    ? MakeWatermark(0, 0)
+                    : MakeDataEvent(0, 0, ++tag, 0.0,
+                                    static_cast<uint32_t>(rng.NextInt(1, 99)));
+      e.stream = 1;
+      from.Push(e);
+      want_from.Push(e);
+    }
+    const int64_t n = rng.NextInt(0, from.size());
+    std::vector<Event> front;
+    for (int64_t k = 0; k < n; ++k) front.push_back(want_from.At(k));
+    want_to.PushBatch(front.data(), n, /*stream=*/0);
+    want_from.PopBatch(nullptr, n);
+    from.MoveFrontTo(&to, n);
+    ASSERT_EQ(from.size(), want_from.size());
+    ASSERT_EQ(to.size(), want_to.size());
+    EXPECT_EQ(from.bytes(), want_from.bytes());
+    EXPECT_EQ(to.bytes(), want_to.bytes());
+    EXPECT_EQ(from.data_count(), want_from.data_count());
+    EXPECT_EQ(to.data_count(), want_to.data_count());
+    EXPECT_EQ(from_sink.total, want_from_sink.total);
+    EXPECT_EQ(to_sink.total, want_to_sink.total);
+    EXPECT_EQ(to.bytes(), to.AuditRecomputeBytes());
+    EXPECT_EQ(from.bytes(), from.AuditRecomputeBytes());
+    for (int64_t k = 0; k < to.size(); ++k) {
+      ASSERT_EQ(to.At(k).key, want_to.At(k).key);
+      ASSERT_EQ(to.At(k).kind, want_to.At(k).kind);
+      ASSERT_EQ(to.At(k).stream, 0);
+    }
+    if (rng.NextInt(0, 3) == 0) {
+      to.PopBatch(nullptr, to.size());
+      want_to.PopBatch(nullptr, want_to.size());
+    }
+  }
 }
 
 TEST(EventTest, NetworkDelay) {

@@ -2,8 +2,10 @@
 # Measures the batched hot path and records the result in BENCH_hotpath.json:
 #   1. builds micro_hotpath + fig06a in Release (-O2 -DNDEBUG),
 #   2. runs the hot-path microbenchmarks (queue transfer, emitter routing,
-#      and the scalar-vs-batched drain whose speedup is the acceptance
-#      number, target >= 1.3x) ten times each, in random interleaved
+#      500 LRB feeds delivering into source queues, the copying vs.
+#      in-place unary drain, and the scalar-vs-batched drain whose
+#      speedup is the acceptance number, target >= 1.3x) ten times each,
+#      in random interleaved
 #      order, and records each one's median CPU time with its quartiles;
 #      speedups are ratios of medians (one run per benchmark swings up to
 #      1.7x back to back on a shared host),
@@ -82,7 +84,11 @@ if "executable" in context:
 result = {
     "description": "Batched hot-path benchmarks (see bench/micro_hotpath.cc); "
                    "drain compares the pre-batching scalar loop against the "
-                   "batched ExecutionContext::RunQuery on the same pipeline. "
+                   "batched ExecutionContext::RunQuery on the same pipeline; "
+                   "BM_IngestToSource times 500 LRB feeds delivering one "
+                   "120 ms cycle into their source queues; "
+                   "unary_drain_in_place compares the copying unary drain "
+                   "with the in-place one. "
                    "Each benchmark ran 10 times in random interleaved order; "
                    "times are the median CPU time with its quartiles, and "
                    "speedups are ratios of medians.",
@@ -94,6 +100,8 @@ result = {
         "emitter_routing": speedup("BM_EmitterScalarRouting",
                                    "BM_EmitterBatchRouting"),
         "drain": speedup("BM_DrainScalar", "BM_DrainBatched"),
+        "unary_drain_in_place": speedup("BM_UnaryDrainCopying",
+                                        "BM_UnaryDrainInPlace"),
     },
     "drain_speedup_target": 1.3,
     "fig06a_smoke_sequential_vs_threads": determinism,
